@@ -22,10 +22,18 @@
 //! A tampered history — a reordered commit, a forged hash, a commit the
 //! guard never passed, a forged binding — is rejected with a concrete
 //! complaint.
+//!
+//! Commits replay through the same step recovery uses (`replay.rs`): the
+//! audit records every failed step as a problem and keeps going, where
+//! [`wal::recover`] stops at the first. [`cold_audit_dir`] audits a
+//! persisted directory in one such pass from its floor checkpoint.
 
-use crate::history::{root_hash, Event};
+use crate::history::{committed, Event};
+use crate::replay::{resolve, Replayer};
+use crate::wal::{self, Crossing, Recovered, RecoveryError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::path::Path;
 use vpdt_core::safe::RuntimeChecked;
 use vpdt_eval::{holds, Omega};
 use vpdt_logic::Formula;
@@ -115,6 +123,39 @@ pub fn audit_from(
     programs: &BTreeMap<u64, Program>,
     templates: &BTreeMap<u64, Template>,
 ) -> AuditReport {
+    let (mut report, replay) = replay_audit(
+        alpha,
+        omega,
+        base_version,
+        initial,
+        events,
+        programs,
+        templates,
+        &[],
+    );
+    if replay.state().0 != final_db {
+        report
+            .problems
+            .push("replayed final state differs from the store's final state".to_string());
+    }
+    report
+}
+
+/// The audit pass: replays `events` from `initial` (the store at
+/// `base_version`) through the replay step, records every failed step and
+/// every other complaint, and returns the report with the replayer where
+/// the pass left it.
+#[allow(clippy::too_many_arguments)]
+fn replay_audit<'a>(
+    alpha: &'a Formula,
+    omega: &'a Omega,
+    base_version: u64,
+    initial: &Database,
+    events: &[Event],
+    programs: &BTreeMap<u64, Program>,
+    templates: &BTreeMap<u64, Template>,
+    crossings: &[(usize, Crossing)],
+) -> (AuditReport, Replayer<'a>) {
     let mut problems = Vec::new();
     let mut commits_checked = 0;
     let mut aborts_checked = 0;
@@ -129,153 +170,85 @@ pub fn audit_from(
 
     // Replay commits in log order; remember every version's state so abort
     // events can be cross-checked against the snapshot they observed.
+    let mut replay = Replayer::new(alpha, omega, initial.clone(), base_version);
     let mut states: Vec<Database> = vec![initial.clone()];
     let mut passed_guards: BTreeSet<(u64, u64)> = BTreeSet::new();
+    let mut crossings = crossings.iter().peekable();
 
-    for event in events {
+    for (i, event) in events.iter().enumerate() {
+        while let Some((_, c)) = crossings.next_if(|(at, _)| *at <= i) {
+            if let Err(e) = replay.cross(c) {
+                problems.push(e.to_string());
+            }
+        }
         match event {
             Event::GuardEval { tx, version, pass } => {
                 if *pass {
                     passed_guards.insert((*tx, *version));
                 }
             }
-            Event::Commit {
-                tx,
-                based_on,
-                version,
-                writes,
-                shape,
-                bindings,
-                root_hash: recorded_hash,
-            } => {
+            Event::Commit { .. } | Event::Cross { .. } => {
                 commits_checked += 1;
-                let expected = base_version + states.len() as u64;
-                if *version != expected {
-                    problems.push(format!(
-                        "commit of tx {tx} has version {version}, expected {expected} \
-                         (reordered or dropped commit)"
-                    ));
-                    continue;
-                }
-                let Some(program) = programs.get(tx) else {
-                    problems.push(format!("commit of unknown tx {tx}"));
-                    continue;
-                };
-                // Provenance: the submitted program must canonicalize to
-                // exactly the recorded (shape, bindings), so a log with
-                // forged bindings or a swapped statement shape cannot
-                // masquerade as the original run.
-                check_provenance(
-                    &mut problems,
-                    programs,
-                    templates,
-                    "commit",
-                    *tx,
-                    *shape,
+                // A cross-shard branch commit has no submitted program and
+                // no paired `GuardEval`: the global guard ran on the
+                // coordinator's union snapshot, and its evidence lives in
+                // the decision log, cross-checked by the sharded audit
+                // (`shard::cold_audit_sharded`).
+                if let Event::Commit {
+                    tx,
+                    based_on,
+                    version,
+                    shape,
                     bindings,
-                );
-                // A commit based at or below the floor may have recorded
-                // its guard evaluation before the floor offset (guard
-                // events are written outside the commit critical section)
-                // — evidence the retention pass legitimately deleted. Only
-                // demand the pairing when nothing was retired
-                // (`base_version == 0`: the full log) or the evaluation
-                // must postdate the floor.
-                let evidence_retired = base_version > 0 && *based_on <= base_version;
-                if !passed_guards.contains(&(*tx, *based_on)) && !evidence_retired {
-                    problems.push(format!(
-                        "tx {tx} committed at version {version} without a passing guard \
-                         evaluation at its base version {based_on}"
-                    ));
-                }
-                if program
-                    .touched_relations()
-                    .iter()
-                    .cloned()
-                    .collect::<Vec<_>>()
-                    != *writes
+                    ..
+                } = event
                 {
-                    problems.push(format!(
-                        "tx {tx} recorded writes {writes:?} but its program touches {:?}",
-                        program.touched_relations()
-                    ));
+                    if !programs.contains_key(tx) {
+                        problems.push(format!("commit of unknown tx {tx}"));
+                    }
+                    // Provenance: the submitted program must canonicalize
+                    // to exactly the recorded (shape, bindings), so a log
+                    // with forged bindings or a swapped statement shape
+                    // cannot masquerade as the original run.
+                    check_provenance(
+                        &mut problems,
+                        programs,
+                        templates,
+                        "commit",
+                        *tx,
+                        *shape,
+                        bindings,
+                    );
+                    // A commit based at or below the floor may have
+                    // recorded its guard evaluation before the floor offset
+                    // (guard events are written outside the commit critical
+                    // section) — evidence the retention pass legitimately
+                    // deleted. Only demand the pairing when nothing was
+                    // retired (`base_version == 0`: the full log) or the
+                    // evaluation must postdate the floor.
+                    let evidence_retired = base_version > 0 && *based_on <= base_version;
+                    if !passed_guards.contains(&(*tx, *based_on)) && !evidence_retired {
+                        problems.push(format!(
+                            "tx {tx} committed at version {version} without a passing guard \
+                             evaluation at its base version {based_on}"
+                        ));
+                    }
                 }
                 // The cross-check: the deferred check-and-rollback path
-                // must accept the same transaction at the same point.
-                replay_one(
-                    &mut problems,
-                    &mut states,
-                    alpha,
-                    omega,
-                    *tx,
-                    *version,
-                    program,
-                    *recorded_hash,
-                );
-            }
-            Event::Cross {
-                tx,
-                version,
-                writes,
-                shape,
-                bindings,
-                root_hash: recorded_hash,
-                ..
-            } => {
-                // A cross-shard branch commit replays like any commit: its
-                // recorded `(shape, bindings)` provenance reconstructs the
-                // shard-local delta program, which must re-derive the
-                // recorded root and pass the deferred constraint check.
-                // What it does *not* need is a paired `GuardEval` — the
-                // global guard ran on the coordinator's union snapshot, and
-                // its evidence lives in the decision log, cross-checked by
-                // the sharded audit (`shard::cold_audit_sharded`).
-                commits_checked += 1;
-                let expected = base_version + states.len() as u64;
-                if *version != expected {
-                    problems.push(format!(
-                        "cross commit of tx {tx} has version {version}, expected {expected} \
-                         (reordered or dropped commit)"
-                    ));
-                    continue;
-                }
-                let Some(template) = templates.get(shape) else {
-                    problems.push(format!(
-                        "cross commit of tx {tx} references unknown statement shape {shape}"
-                    ));
-                    continue;
-                };
-                let program = match template.instantiate(bindings) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        problems.push(format!(
-                            "cross commit of tx {tx}: bindings do not fit shape {shape}: {e}"
-                        ));
-                        continue;
-                    }
-                };
-                if program
-                    .touched_relations()
-                    .iter()
-                    .cloned()
-                    .collect::<Vec<_>>()
-                    != *writes
+                // must accept the program the record's provenance
+                // instantiates, at the same point. A failed step is a
+                // complaint, and the pass goes on from wherever the step
+                // left the replayer.
+                let c = committed(event).expect("a commit-shaped event");
+                if let Err(e) = resolve(templates, c.tx, c.shape, c.bindings)
+                    .and_then(|program| replay.step(&c, &program))
                 {
-                    problems.push(format!(
-                        "cross tx {tx} recorded writes {writes:?} but its delta touches {:?}",
-                        program.touched_relations()
-                    ));
+                    problems.push(e.to_string());
                 }
-                replay_one(
-                    &mut problems,
-                    &mut states,
-                    alpha,
-                    omega,
-                    *tx,
-                    *version,
-                    &program,
-                    *recorded_hash,
-                );
+                let (db, version) = replay.state();
+                if version - base_version == states.len() as u64 {
+                    states.push(db.clone());
+                }
             }
             Event::Abort { tx, version, .. } => {
                 // The guard said "would violate α". If we know the state it
@@ -323,16 +296,18 @@ pub fn audit_from(
             }
         }
     }
-
-    if states.last().expect("states never empty") != final_db {
-        problems.push("replayed final state differs from the store's final state".to_string());
+    for (_, c) in crossings {
+        if let Err(e) = replay.cross(c) {
+            problems.push(e.to_string());
+        }
     }
 
-    AuditReport {
+    let report = AuditReport {
         problems,
         commits_checked,
         aborts_checked,
-    }
+    };
+    (report, replay)
 }
 
 /// Audits a *cold* history — one read back from a persisted log, with no
@@ -346,7 +321,8 @@ pub fn audit_from(
 /// log can prove.
 ///
 /// `initial` is the genesis state (offset-0 checkpoint) and `final_db` the
-/// recovered state; [`wal::recover`](crate::wal::recover) supplies both.
+/// recovered state; [`wal::recover`] supplies both. To audit a directory,
+/// [`cold_audit_dir`] does the same in one pass over the log.
 pub fn cold_audit(
     alpha: &Formula,
     omega: &Omega,
@@ -360,7 +336,7 @@ pub fn cold_audit(
 
 /// [`cold_audit`] with an explicit base: `initial` is the floor
 /// checkpoint's state at `base_version` and `events` start there — the
-/// form [`wal::recover`](crate::wal::recover) hands back
+/// form [`wal::recover`] hands back
 /// (`Recovered::{initial, base_version, events}`), correct whether or not
 /// segment retention has deleted a covered prefix of the log.
 #[allow(clippy::too_many_arguments)]
@@ -373,53 +349,7 @@ pub fn cold_audit_from(
     events: &[Event],
     templates: &BTreeMap<u64, Template>,
 ) -> AuditReport {
-    let mut problems = Vec::new();
-    let mut programs: BTreeMap<u64, Program> = BTreeMap::new();
-    for event in events {
-        let (tx, shape, bindings) = match event {
-            Event::Begin {
-                tx,
-                shape,
-                bindings,
-                ..
-            }
-            | Event::Commit {
-                tx,
-                shape,
-                bindings,
-                ..
-            }
-            | Event::Cross {
-                tx,
-                shape,
-                bindings,
-                ..
-            } => (*tx, *shape, bindings),
-            Event::GuardEval { .. } | Event::Abort { .. } => continue,
-        };
-        let Some(template) = templates.get(&shape) else {
-            problems.push(format!(
-                "tx {tx} references statement shape {shape}, which no checkpoint or shape \
-                 record declares"
-            ));
-            continue;
-        };
-        match template.instantiate(bindings) {
-            Ok(ground) => {
-                if let Some(prev) = programs.get(&tx) {
-                    if prev != &ground {
-                        problems.push(format!(
-                            "tx {tx}'s events derive two different programs from their \
-                             recorded provenance"
-                        ));
-                    }
-                } else {
-                    programs.insert(tx, ground);
-                }
-            }
-            Err(e) => problems.push(format!("tx {tx}'s bindings do not fit shape {shape}: {e}")),
-        }
-    }
+    let (programs, problems) = derive_programs(events, templates);
     let mut report = audit_from(
         alpha,
         omega,
@@ -434,51 +364,76 @@ pub fn cold_audit_from(
     report
 }
 
-/// Replays one committed program at `version` through the deferred
-/// check-and-rollback path, verifying acceptance and the recorded root
-/// hash, and advancing `states` (a rejected or unreplayable commit keeps
-/// the previous state so later versions still line up).
-#[allow(clippy::too_many_arguments)]
-fn replay_one(
-    problems: &mut Vec<String>,
-    states: &mut Vec<Database>,
-    alpha: &Formula,
+/// The one-pass cold audit of a persisted directory: loads its floor
+/// checkpoint and replays the whole surviving log from there once,
+/// through the same step recovery uses, collecting every problem where
+/// [`wal::recover`] stops at the first. Every later checkpoint the pass
+/// crosses must record the replayed version and root hash.
+///
+/// Returns what the pass reconstructed (`Recovered::db` is the state the
+/// replay reached) with the report. A log or checkpoint that cannot be
+/// read or is inconsistent in itself, or a floor checkpoint that does not
+/// anchor in the log, is an error, as it is for [`wal::recover`].
+pub fn cold_audit_dir(
+    dir: impl AsRef<Path>,
     omega: &Omega,
-    tx: u64,
-    version: u64,
-    program: &Program,
-    recorded_hash: u64,
-) {
-    let prev = states.last().expect("states never empty");
-    let checked = RuntimeChecked::new(
-        ProgramTransaction::new("audit", program.clone(), omega.clone()),
-        alpha.clone(),
-        omega.clone(),
+) -> Result<(Recovered, AuditReport), RecoveryError> {
+    let log = wal::load(dir.as_ref(), true)?;
+    let (programs, problems) = derive_programs(&log.events, &log.templates);
+    let (mut report, replay) = replay_audit(
+        &log.floor.alpha,
+        omega,
+        log.floor.version,
+        &log.floor.db,
+        &log.events,
+        &programs,
+        &log.templates,
+        &log.crossings,
     );
-    match checked.apply(prev) {
-        Ok(next) => {
-            if root_hash(&next) != recorded_hash {
-                problems.push(format!(
-                    "replaying tx {tx} at version {version} produces root hash \
-                     {:#x}, history records {recorded_hash:#x} (reordered or \
-                     tampered history)",
-                    root_hash(&next)
-                ));
+    report.problems.splice(0..0, problems);
+    let ((db, version), commits) = (replay.into_state(), report.commits_checked);
+    Ok((log.into_recovered(db, version, commits), report))
+}
+
+/// The tx-id → program map of a cold history, derived from each event's
+/// recorded provenance, and the complaints deriving it raised.
+fn derive_programs(
+    events: &[Event],
+    templates: &BTreeMap<u64, Template>,
+) -> (BTreeMap<u64, Program>, Vec<String>) {
+    let mut problems = Vec::new();
+    let mut programs: BTreeMap<u64, Program> = BTreeMap::new();
+    for event in events {
+        let (tx, shape, bindings) = match (event, committed(event)) {
+            (
+                Event::Begin {
+                    tx,
+                    shape,
+                    bindings,
+                    ..
+                },
+                _,
+            ) => (*tx, *shape, &bindings[..]),
+            (_, Some(c)) => (c.tx, c.shape, c.bindings),
+            _ => continue,
+        };
+        match resolve(templates, tx, shape, bindings) {
+            Ok(ground) => {
+                if let Some(prev) = programs.get(&tx) {
+                    if prev != &ground {
+                        problems.push(format!(
+                            "tx {tx}'s events derive two different programs from their \
+                             recorded provenance"
+                        ));
+                    }
+                } else {
+                    programs.insert(tx, ground);
+                }
             }
-            states.push(next);
-        }
-        Err(TxError::Aborted(reason)) => {
-            problems.push(format!(
-                "tx {tx} committed at version {version}, but check-and-rollback \
-                 aborts it there: {reason}"
-            ));
-            states.push(prev.clone());
-        }
-        Err(e) => {
-            problems.push(format!("tx {tx} fails to replay at version {version}: {e}"));
-            states.push(prev.clone());
+            Err(e) => problems.push(e.to_string()),
         }
     }
+    (programs, problems)
 }
 
 /// Checks one event's recorded `(shape, bindings)` provenance against the

@@ -65,38 +65,10 @@ pub const BATCH_SESSION: u64 = 0;
 /// A transaction queued for execution.
 #[derive(Clone, Debug)]
 pub struct Job {
-    /// Unique transaction id (assigned by [`Submitter`]).
+    /// Unique transaction id.
     pub id: u64,
     /// The update program to run.
     pub program: Program,
-}
-
-/// Assigns transaction ids and accumulates a batch of jobs — the legacy
-/// closed-batch front door, kept for the benches' batch comparison. New
-/// code should hold a [`Session`](crate::Session) on a
-/// [`StoreServer`](crate::StoreServer) instead.
-#[derive(Debug, Default)]
-pub struct Submitter {
-    jobs: Vec<Job>,
-}
-
-impl Submitter {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Submitter::default()
-    }
-
-    /// Queues a program; returns its transaction id.
-    pub fn submit(&mut self, program: Program) -> u64 {
-        let id = self.jobs.len() as u64;
-        self.jobs.push(Job { id, program });
-        id
-    }
-
-    /// The queued jobs.
-    pub fn into_jobs(self) -> Vec<Job> {
-        self.jobs
-    }
 }
 
 /// How one transaction ended — fully typed: aborts carry an
@@ -122,10 +94,6 @@ pub enum TxOutcome {
     },
 }
 
-/// The historical name of [`TxOutcome`], kept as an alias so batch-era
-/// call sites read unchanged.
-pub type TxStatus = TxOutcome;
-
 /// Per-transaction outcomes plus pipeline counters.
 #[derive(Clone, Debug)]
 pub struct ExecReport {
@@ -144,36 +112,6 @@ pub struct ExecReport {
     pub guard_hits: u64,
     /// Guard-cache misses (compilations).
     pub guard_misses: u64,
-}
-
-impl ExecReport {
-    /// Builds a report from raw outcomes (sorted by id here) and counters.
-    pub(crate) fn from_outcomes(
-        mut outcomes: Vec<(u64, TxOutcome)>,
-        conflicts: u64,
-        guard_hits: u64,
-        guard_misses: u64,
-    ) -> Self {
-        outcomes.sort_by_key(|(id, _)| *id);
-        let committed = outcomes
-            .iter()
-            .filter(|(_, s)| matches!(s, TxOutcome::Committed { .. }))
-            .count();
-        let aborted = outcomes
-            .iter()
-            .filter(|(_, s)| matches!(s, TxOutcome::Aborted { .. }))
-            .count();
-        let failed = outcomes.len() - committed - aborted;
-        ExecReport {
-            outcomes,
-            committed,
-            aborted,
-            failed,
-            conflicts,
-            guard_hits,
-            guard_misses,
-        }
-    }
 }
 
 /// One unit of work on the submission queue: a transaction plus the ticket
@@ -569,18 +507,12 @@ pub(crate) fn execute_one(
 /// Fails every job with the same error — the fail-fast path when the
 /// soundness base case cannot be established.
 pub(crate) fn fail_all(jobs: &[Job], error: StoreError) -> ExecReport {
-    let outcomes = jobs
-        .iter()
-        .map(|j| {
-            (
-                j.id,
-                TxOutcome::Failed {
-                    error: error.clone(),
-                },
-            )
-        })
-        .collect();
-    ExecReport::from_outcomes(outcomes, 0, 0, 0)
+    let sink = OutcomeSink::new(true, jobs.len());
+    for job in jobs {
+        let error = error.clone();
+        sink.record(job.id, TxOutcome::Failed { error });
+    }
+    sink.into_report(0, 0, 0)
 }
 
 /// Checks the guard-soundness base case: `α` must hold on the store's
@@ -672,38 +604,25 @@ pub fn run_serial_rollback(
     omega: &Omega,
 ) -> (Database, ExecReport) {
     let mut state = initial;
-    let mut outcomes = Vec::with_capacity(jobs.len());
+    let sink = OutcomeSink::new(true, jobs.len());
     for (i, job) in jobs.iter().enumerate() {
         let tx = ProgramTransaction::new("serial", job.program.clone(), omega.clone());
         let checked = RuntimeChecked::new(tx, alpha.clone(), omega.clone());
-        match checked.apply(&state) {
+        let outcome = match checked.apply(&state) {
             Ok(next) => {
                 state = next;
-                outcomes.push((
-                    job.id,
-                    TxOutcome::Committed {
-                        version: i as u64 + 1,
-                    },
-                ));
+                TxOutcome::Committed {
+                    version: i as u64 + 1,
+                }
             }
-            Err(TxError::Aborted(reason)) => {
-                outcomes.push((
-                    job.id,
-                    TxOutcome::Aborted {
-                        reason: AbortReason::RolledBack { reason },
-                    },
-                ));
-            }
-            Err(e) => {
-                outcomes.push((
-                    job.id,
-                    TxOutcome::Failed {
-                        error: StoreError::Tx(e),
-                    },
-                ));
-            }
-        }
+            Err(TxError::Aborted(reason)) => TxOutcome::Aborted {
+                reason: AbortReason::RolledBack { reason },
+            },
+            Err(e) => TxOutcome::Failed {
+                error: StoreError::Tx(e),
+            },
+        };
+        sink.record(job.id, outcome);
     }
-    let report = ExecReport::from_outcomes(outcomes, 0, 0, 0);
-    (state, report)
+    (state, sink.into_report(0, 0, 0))
 }

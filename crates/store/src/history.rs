@@ -120,6 +120,49 @@ pub enum Event {
     },
 }
 
+/// The fields of a commit-shaped event — what replay, recovery and the
+/// root index read.
+pub(crate) struct Committed<'e> {
+    pub(crate) tx: u64,
+    pub(crate) version: u64,
+    pub(crate) writes: &'e [String],
+    pub(crate) shape: u64,
+    pub(crate) bindings: &'e [Elem],
+    pub(crate) root_hash: u64,
+}
+
+/// The commit-shaped view of `event`: `Some` for `Commit` and `Cross`.
+pub(crate) fn committed(event: &Event) -> Option<Committed<'_>> {
+    match event {
+        Event::Commit {
+            tx,
+            version,
+            writes,
+            shape,
+            bindings,
+            root_hash,
+            ..
+        }
+        | Event::Cross {
+            tx,
+            version,
+            writes,
+            shape,
+            bindings,
+            root_hash,
+            ..
+        } => Some(Committed {
+            tx: *tx,
+            version: *version,
+            writes,
+            shape: *shape,
+            bindings,
+            root_hash: *root_hash,
+        }),
+        _ => None,
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     events: Vec<Event>,
@@ -139,18 +182,12 @@ impl Inner {
     /// versions are assigned gaplessly under the exec lock, so each new
     /// commit lands exactly one past the end of the index.
     fn index_root(&mut self, e: &Event) {
-        if let Event::Commit {
-            version, root_hash, ..
-        }
-        | Event::Cross {
-            version, root_hash, ..
-        } = e
-        {
+        if let Some(c) = committed(e) {
             if self.roots.is_empty() {
-                self.root_base = version - 1;
+                self.root_base = c.version - 1;
             }
-            debug_assert_eq!(*version, self.root_base + self.roots.len() as u64 + 1);
-            self.roots.push(*root_hash);
+            debug_assert_eq!(c.version, self.root_base + self.roots.len() as u64 + 1);
+            self.roots.push(c.root_hash);
         }
     }
 }
@@ -172,29 +209,16 @@ impl History {
     /// A log seeded with recovered events (the durable-recovery path: the
     /// resumed server's history continues where the on-disk log ends).
     pub(crate) fn with_events(events: Vec<Event>) -> Self {
-        let mut roots = Vec::new();
-        let mut root_base = 0;
-        for e in &events {
-            if let Event::Commit {
-                version, root_hash, ..
+        let mut inner = Inner::default();
+        for c in events.iter().filter_map(committed) {
+            if inner.roots.is_empty() {
+                inner.root_base = c.version - 1;
             }
-            | Event::Cross {
-                version, root_hash, ..
-            } = e
-            {
-                if roots.is_empty() {
-                    root_base = version - 1;
-                }
-                roots.push(*root_hash);
-            }
+            inner.roots.push(c.root_hash);
         }
+        inner.events = events;
         History {
-            inner: Mutex::new(Inner {
-                events,
-                durable: None,
-                roots,
-                root_base,
-            }),
+            inner: Mutex::new(inner),
         }
     }
 
@@ -206,18 +230,8 @@ impl History {
         inner.durable = Some(log);
     }
 
-    /// Detaches and returns the write-ahead log (shutdown takes it back to
-    /// write the clean checkpoint).
-    pub(crate) fn detach_wal(&self) -> Option<DurableLog> {
-        self.inner
-            .lock()
-            .expect("history lock poisoned")
-            .durable
-            .take()
-    }
-
     /// Runs `f` with exclusive access to the attached log, if any — the
-    /// mid-run checkpoint path. While `f` runs no event can be recorded,
+    /// checkpoint path. While `f` runs no event can be recorded,
     /// so the log offset it observes is exact.
     pub(crate) fn with_wal<R>(&self, f: impl FnOnce(&mut DurableLog) -> R) -> Option<R> {
         let mut inner = self.inner.lock().expect("history lock poisoned");

@@ -85,10 +85,10 @@
 //!   concurrently published commits into one fsync and only then resolves
 //!   their tickets — see [`GroupCommitPolicy`]);
 //! * [`audit`] — replays a history through the *rollback* path
-//!   ([`vpdt_core::safe::RuntimeChecked`]), checking that the commit order
-//!   is a gapless serialization, that `α` holds at every committed version,
-//!   and that the guard path and the check-and-rollback path agreed on
-//!   every decision;
+//!   ([`vpdt_core::safe::RuntimeChecked`]) with the replay step recovery
+//!   uses, checking that the commit order is a gapless serialization, that
+//!   `α` holds at every committed version, and that the guard path and the
+//!   check-and-rollback path agreed on every decision;
 //! * [`workload`] — deterministic (caller-seeded) multi-relation workloads
 //!   for the benches and tests.
 //!
@@ -107,6 +107,7 @@ pub mod exec;
 pub mod guard;
 pub mod history;
 pub mod metrics;
+mod replay;
 pub mod server;
 pub mod session;
 pub mod shard;
@@ -114,8 +115,8 @@ pub mod snapshot;
 pub mod wal;
 pub mod workload;
 
-pub use audit::{audit, audit_from, cold_audit, cold_audit_from, AuditReport};
-pub use exec::{run_jobs, run_serial_rollback, ExecReport, Job, Submitter, TxOutcome, TxStatus};
+pub use audit::{audit, audit_from, cold_audit, cold_audit_dir, cold_audit_from, AuditReport};
+pub use exec::{run_jobs, run_serial_rollback, ExecReport, Job, TxOutcome};
 pub use guard::{CacheStats, GuardCache, PreparedShape, PreparedTx, ShapeStat};
 pub use history::{Event, History};
 pub use metrics::StoreMetrics;

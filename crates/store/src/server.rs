@@ -17,13 +17,14 @@
 
 use crate::exec::{self, ExecReport, OutcomeSink, TxOutcome, WorkItem, WorkQueue};
 use crate::guard::{CacheStats, GuardCache};
-use crate::history::{root_hash, state_hash, Event, History};
+use crate::history::{Event, History};
 use crate::metrics::StoreMetrics;
+use crate::replay;
 use crate::session::{Session, TicketState, TxTicket};
 use crate::snapshot::{Snapshot, VersionedStore};
 use crate::wal::{
-    self, DurableLog, FlushStats, GroupCommitFlusher, RecoveryError, RecoveryOptions, WalOptions,
-    WalWriter,
+    self, DecisionBranch, DurableLog, FlushStats, GroupCommitFlusher, RecoveryError,
+    RecoveryOptions, WalError, WalOptions, WalWriter,
 };
 use crate::StoreError;
 use std::collections::{BTreeMap, BTreeSet};
@@ -107,15 +108,17 @@ impl Default for RetryPolicy {
 /// Where a server's state comes from: a fresh initial database, or a
 /// persisted directory to recover.
 #[derive(Clone, Debug)]
-enum Source {
+pub(crate) enum Source {
     Fresh {
         initial: Database,
         alpha: Formula,
     },
     /// Recover state, constraint, shape identities and history from `dir`,
-    /// then resume appending to its log.
+    /// roll a shard's `pending` cross-shard branches forward (see
+    /// `replay::roll_forward`), then resume appending to its log.
     Recover {
         dir: PathBuf,
+        pending: Vec<(u64, DecisionBranch)>,
     },
 }
 
@@ -139,17 +142,7 @@ pub struct StoreBuilder {
 impl StoreBuilder {
     /// A builder over `initial` (ingested as version 0) guarding `α`.
     pub fn new(initial: Database, alpha: Formula) -> Self {
-        StoreBuilder {
-            source: Source::Fresh { initial, alpha },
-            omega: Omega::empty(),
-            cache_capacity: crate::guard::DEFAULT_CAPACITY,
-            workers: 4,
-            retry: RetryPolicy::unbounded(),
-            retain_outcomes: true,
-            persist_dir: None,
-            wal_opts: WalOptions::default(),
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-        }
+        StoreBuilder::with_source(Source::Fresh { initial, alpha })
     }
 
     /// A builder that recovers a persisted server from `dir` and resumes
@@ -161,8 +154,15 @@ impl StoreBuilder {
     /// tail. Set the same Ω interpretation the original server ran with
     /// ([`omega`](StoreBuilder::omega)) before building.
     pub fn recover(dir: impl Into<PathBuf>) -> Self {
+        StoreBuilder::with_source(Source::Recover {
+            dir: dir.into(),
+            pending: Vec::new(),
+        })
+    }
+
+    pub(crate) fn with_source(source: Source) -> Self {
         StoreBuilder {
-            source: Source::Recover { dir: dir.into() },
+            source,
             omega: Omega::empty(),
             cache_capacity: crate::guard::DEFAULT_CAPACITY,
             workers: 4,
@@ -297,33 +297,20 @@ impl StoreBuilder {
                 let mut flusher = None;
                 if let Some(dir) = self.persist_dir {
                     let writer = WalWriter::create(&dir, self.wal_opts)?;
-                    let snap = store.snapshot();
-                    wal::write_checkpoint(
-                        writer.dir(),
-                        &wal::Checkpoint {
-                            offset: 0,
-                            version: 0,
-                            next_tx: 0,
-                            state_hash: state_hash(&snap.db),
-                            root_hash: root_hash(&snap.db),
-                            alpha: cache.alpha().clone(),
-                            schema: store.schema().clone(),
-                            db: (*snap.db).clone(),
-                            templates: BTreeMap::new(),
-                        },
-                    )?;
-                    obs.checkpoints.inc();
                     flusher = group(wants_flusher);
                     store.history().attach_wal(DurableLog::new(
                         writer,
                         BTreeSet::new(),
                         flusher.clone(),
                     ));
+                    // The genesis checkpoint: recovery always has a floor.
+                    store.checkpoint_now(cache.templates(), 0, cache.alpha())?;
+                    obs.checkpoints.inc();
                 }
                 (store, cache, 0, flusher)
             }
-            Source::Recover { dir } => {
-                let recovered = wal::recover(&dir, &self.omega, RecoveryOptions::default())?;
+            Source::Recover { dir, pending } => {
+                let mut recovered = wal::recover(&dir, &self.omega, RecoveryOptions::default())?;
                 for (i, id) in recovered.templates.keys().enumerate() {
                     if *id != i as u64 {
                         return Err(StoreError::Recovery(RecoveryError::Divergence {
@@ -334,6 +321,14 @@ impl StoreBuilder {
                         }));
                     }
                 }
+                let (mut writer, mut logged_shapes) = WalWriter::resume(&dir, self.wal_opts)?;
+                replay::roll_forward(
+                    &mut recovered,
+                    &mut writer,
+                    &mut logged_shapes,
+                    &pending,
+                    &self.omega,
+                )?;
                 let store = VersionedStore::resume(
                     recovered.db,
                     recovered.version,
@@ -349,7 +344,6 @@ impl StoreBuilder {
                 );
                 cache.seed_registry(&recovered.templates);
                 exec::check_base_case(&store, &cache)?;
-                let (writer, logged_shapes) = WalWriter::resume(&dir, self.wal_opts)?;
                 let flusher = group(wants_flusher);
                 store
                     .history()
@@ -421,6 +415,25 @@ struct Shared {
     /// workers enqueue published commits here; the flusher thread batches
     /// the fsyncs and resolves the tickets.
     group: Option<Arc<GroupCommitFlusher>>,
+}
+
+impl Shared {
+    /// Writes a checkpoint of the current state (see
+    /// [`VersionedStore::checkpoint_now`]) and counts it and its retention
+    /// pass. Returns the covered log offset.
+    fn checkpoint(&self, next_tx: u64) -> Result<u64, WalError> {
+        let gc = self
+            .store
+            .checkpoint_now(self.cache.templates(), next_tx, self.cache.alpha())?;
+        self.obs.checkpoints.inc();
+        self.obs
+            .wal_segments_deleted
+            .add(gc.segments_deleted as u64);
+        self.obs
+            .checkpoint_files_deleted
+            .add(gc.checkpoints_deleted as u64);
+        Ok(gc.offset)
+    }
 }
 
 /// A resident, session-oriented transaction server — the front door of
@@ -579,25 +592,9 @@ impl StoreServer {
     /// replay only the tail. `Err(StoreError::Wal(WalError::NotDurable))`
     /// when the server is not persisted.
     pub fn checkpoint(&self) -> Result<u64, StoreError> {
-        let gc = self
-            .shared
-            .store
-            .checkpoint_now(
-                self.shared.cache.templates(),
-                self.next_tx.load(Ordering::Relaxed),
-                self.shared.cache.alpha(),
-            )
-            .map_err(StoreError::Wal)?;
-        self.shared.obs.checkpoints.inc();
         self.shared
-            .obs
-            .wal_segments_deleted
-            .add(gc.segments_deleted as u64);
-        self.shared
-            .obs
-            .checkpoint_files_deleted
-            .add(gc.checkpoints_deleted as u64);
-        Ok(gc.offset)
+            .checkpoint(self.next_tx.load(Ordering::Relaxed))
+            .map_err(StoreError::Wal)
     }
 
     /// A point-in-time snapshot of every metric the server keeps —
@@ -646,6 +643,27 @@ impl StoreServer {
         }
     }
 
+    /// Drains and joins the pool: closing the queue turns it into a
+    /// drain (workers finish what was submitted, then exit); once they are
+    /// gone nothing publishes anymore, so the flusher is closed and
+    /// drains too — one final fsync resolves every ticket still owed a
+    /// durable acknowledgment. Returns whether every thread exited
+    /// cleanly. Idempotent.
+    fn stop(&mut self) -> bool {
+        self.shared.queue.close();
+        let mut clean = true;
+        for worker in std::mem::take(&mut self.workers) {
+            clean &= worker.join().is_ok();
+        }
+        if let Some(group) = &self.shared.group {
+            group.close();
+        }
+        if let Some(flusher) = self.flusher_thread.take() {
+            clean &= flusher.join().is_ok();
+        }
+        clean
+    }
+
     /// Closes the submission queue, drains every already-submitted
     /// transaction (outstanding [`TxTicket`]s all resolve), joins the
     /// worker pool, drains the group-commit flusher (published commits get
@@ -663,63 +681,16 @@ impl StoreServer {
     /// the checkpoint: the crash-shaped exit.)
     pub fn shutdown(mut self) -> ServerReport {
         let next_tx = self.next_tx.load(Ordering::Relaxed);
-        // Closing the queue turns it into a drain: workers finish what was
-        // submitted, then exit.
-        self.shared.queue.close();
-        for worker in std::mem::take(&mut self.workers) {
-            worker.join().expect("store worker panicked");
-        }
-        // The workers are gone, so nothing publishes anymore: close the
-        // flusher and let it drain — one final fsync resolves every
-        // ticket still owed a durable acknowledgment.
-        if let Some(group) = &self.shared.group {
-            group.close();
-        }
-        if let Some(flusher) = self.flusher_thread.take() {
-            flusher.join().expect("group-commit flusher panicked");
-        }
+        assert!(self.stop(), "a store worker or the flusher panicked");
         let flush = self.shared.group.as_ref().map(|g| g.stats());
         self.refresh_gauges();
         let shared = Arc::clone(&self.shared);
         drop(self); // Drop sees an empty worker list and an already-closed queue
         let shared = Arc::into_inner(shared).expect("workers joined, no other owners");
-        if let Some(mut log) = shared.store.history().detach_wal() {
-            log.writer
-                .sync()
-                .expect("write-ahead log flush at shutdown failed");
-            let offset = log.writer.offset();
-            let snap = shared.store.snapshot();
-            wal::write_checkpoint(
-                log.writer.dir(),
-                &wal::Checkpoint {
-                    offset,
-                    version: snap.version,
-                    next_tx,
-                    state_hash: state_hash(&snap.db),
-                    root_hash: root_hash(&snap.db),
-                    alpha: shared.cache.alpha().clone(),
-                    schema: shared.store.schema().clone(),
-                    db: (*snap.db).clone(),
-                    templates: shared.cache.templates(),
-                },
-            )
-            .expect("clean checkpoint at shutdown failed");
-            shared.obs.checkpoints.inc();
-            // Best-effort, unlike the sync and checkpoint above: state and
-            // log are already fully durable, and a segment or checkpoint
-            // that survives a failed unlink breaks nothing — the next
-            // checkpoint (or `vpdtool wal gc`) simply retries.
-            if !log.writer.options().retain_segments {
-                if let Ok(deleted) = wal::gc_segments(log.writer.dir(), offset) {
-                    shared.obs.wal_segments_deleted.add(deleted.len() as u64);
-                }
-                if let Ok(deleted) = wal::gc_checkpoints(log.writer.dir()) {
-                    shared
-                        .obs
-                        .checkpoint_files_deleted
-                        .add(deleted.len() as u64);
-                }
-            }
+        if shared.store.history().is_durable() {
+            shared
+                .checkpoint(next_tx)
+                .expect("clean checkpoint at shutdown failed");
         }
         // Every counter in the report — cache, WAL, pipeline — is a
         // **server-lifetime total**: `prepare` warm-ups count, and nothing
@@ -759,18 +730,9 @@ impl StoreServer {
 /// tickets resolved, so none is lost.
 impl Drop for StoreServer {
     fn drop(&mut self) {
-        self.shared.queue.close();
-        for worker in std::mem::take(&mut self.workers) {
-            // Best-effort during teardown: a panicked worker already
-            // resolved its tickets via the work-item drop guard.
-            let _ = worker.join();
-        }
-        if let Some(group) = &self.shared.group {
-            group.close();
-        }
-        if let Some(flusher) = self.flusher_thread.take() {
-            let _ = flusher.join();
-        }
+        // Best-effort during teardown: a panicked worker already resolved
+        // its tickets via the work-item drop guard.
+        self.stop();
     }
 }
 

@@ -52,11 +52,12 @@
 //! |                                  | present ones verified as-is        |
 //! | after all shard commits          | nothing to do                      |
 //!
-//! Roll-forward re-applies the decision's ground delta program to the
-//! recovered shard state and appends the missing [`Event::Cross`] (plus
-//! any unseen shape declaration) to the shard's log; the subsequent
-//! [`StoreBuilder::recover`] then replays and hash-verifies the appended
-//! records like any other tail — a rolled-forward branch passes the same
+//! Roll-forward happens inside each shard's own recovery, in its single
+//! replay of the log: once the tail is replayed, every missing branch's
+//! ground delta program goes through the same replay step (`replay.rs`)
+//! as any logged commit — so `α` is checked on it — and its
+//! [`Event::Cross`] (plus any unseen shape declaration) is appended with
+//! the writer recovery resumes. A rolled-forward branch passes the same
 //! cold audit as a live one. Roll-forward is safe to append at the log's
 //! end because a decision's holds release only after its shard append:
 //! no later commit conflicting with the missing branch can exist.
@@ -72,16 +73,18 @@
 //! *before* the shard checkpoints GC their segments) records the decision
 //! id below which every branch is known applied, so recovery never
 //! re-examines decisions whose `Cross` records have been retired by
-//! checkpoint retention.
+//! checkpoint retention. A missing watermark means 0; one that is present
+//! but unreadable is a typed divergence, never 0 — after retention, 0
+//! would roll retired branches forward a second time.
 
-use crate::audit::{cold_audit_from, AuditReport};
+use crate::audit::{cold_audit_dir, AuditReport};
 use crate::guard::PreparedTx;
-use crate::history::{root_hash, Event};
-use crate::server::{RetryPolicy, ServerReport, StoreBuilder, StoreServer};
+use crate::history::Event;
+use crate::server::{RetryPolicy, ServerReport, Source, StoreBuilder, StoreServer};
 use crate::session::TxTicket;
 use crate::snapshot::{CommitRequest, Snapshot};
 use crate::wal::{
-    self, DecisionBranch, DecisionRecord, Record, RecoveryOptions, WalOptions, WalWriter,
+    self, DecisionBranch, DecisionRecord, Record, RecoveryError, WalOptions, WalWriter,
 };
 use crate::{metrics::names, AbortReason, GuardCache, StoreError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -201,31 +204,27 @@ impl ShardedBuilder {
     /// A builder partitioning `initial` (and the conjuncts of `alpha`)
     /// across `shards` stores by round-robin relation striping.
     pub fn new(initial: Database, alpha: Formula, shards: usize) -> Self {
-        ShardedBuilder {
-            source: ShardSource::Fresh {
-                initial,
-                alpha,
-                shards: shards.max(1),
-                persist_root: None,
-            },
-            omega: Omega::empty(),
-            workers_per_shard: 4,
-            cache_capacity: crate::guard::DEFAULT_CAPACITY,
-            retry: RetryPolicy::unbounded(),
-            wal_opts: WalOptions::default(),
-            trace_capacity: 0,
-        }
+        ShardedBuilder::with_source(ShardSource::Fresh {
+            initial,
+            alpha,
+            shards: shards.max(1),
+            persist_root: None,
+        })
     }
 
     /// A builder that recovers a persisted sharded store from `root`
     /// (shard count auto-detected from the `shard-N/` directories). This
     /// is where cross-shard roll-forward happens: decisions durable in
-    /// `root/decisions` but missing from a shard's log are re-applied
-    /// before the shard recovers — see the module docs' crash-window
-    /// table.
+    /// `root/decisions` but missing from a shard's log are re-applied, and
+    /// `α`-checked, as the shard recovers — see the module docs'
+    /// crash-window table.
     pub fn recover(root: impl Into<PathBuf>) -> Self {
+        ShardedBuilder::with_source(ShardSource::Recover { root: root.into() })
+    }
+
+    fn with_source(source: ShardSource) -> Self {
         ShardedBuilder {
-            source: ShardSource::Recover { root: root.into() },
+            source,
             omega: Omega::empty(),
             workers_per_shard: 4,
             cache_capacity: crate::guard::DEFAULT_CAPACITY,
@@ -309,12 +308,9 @@ impl ShardedBuilder {
         }
     }
 
-    fn shard_builder(&self, initial_or_dir: Result<(Database, Formula), &Path>) -> StoreBuilder {
-        let b = match initial_or_dir {
-            Ok((db, alpha)) => StoreBuilder::new(db, alpha),
-            Err(dir) => StoreBuilder::recover(dir),
-        };
-        b.omega(self.omega.clone())
+    fn shard_builder(&self, source: Source) -> StoreBuilder {
+        StoreBuilder::with_source(source)
+            .omega(self.omega.clone())
             .workers(self.workers_per_shard)
             .guard_cache_capacity(self.cache_capacity)
             .retry_policy(self.retry.clone())
@@ -354,7 +350,10 @@ impl ShardedBuilder {
                 db.set_rel_handle(rel, initial.rel_handle(rel));
             }
             let db = normalize_domain(db);
-            let mut builder = self.shard_builder(Ok((db, shard_alpha)));
+            let mut builder = self.shard_builder(Source::Fresh {
+                initial: db,
+                alpha: shard_alpha,
+            });
             if let Some(root) = &persist_root {
                 builder = builder.persist(root.join(format!("shard-{s}")));
             }
@@ -385,14 +384,25 @@ impl ShardedBuilder {
         let dirs = shard_dirs(&root)?;
         let decisions_dir = root.join("decisions");
         let decisions = read_decisions(&decisions_dir)?;
-        let watermark = read_watermark(&decisions_dir);
-        let pending: Vec<&DecisionRecord> =
-            decisions.iter().filter(|d| d.id >= watermark).collect();
+        let watermark = read_watermark(&decisions_dir)?;
 
         let mut servers = Vec::with_capacity(dirs.len());
         for (s, dir) in dirs.iter().enumerate() {
-            roll_forward_shard(dir, s as u32, &pending, &self.omega, &self.wal_opts)?;
-            servers.push(self.shard_builder(Err(dir)).build()?);
+            let pending = decisions
+                .iter()
+                .filter(|d| d.id >= watermark)
+                .flat_map(|d| {
+                    d.branches
+                        .iter()
+                        .filter(|b| b.shard == s as u32)
+                        .map(|b| (d.id, b.clone()))
+                })
+                .collect();
+            let dir = dir.clone();
+            servers.push(
+                self.shard_builder(Source::Recover { dir, pending })
+                    .build()?,
+            );
         }
 
         // Reconstruct the global view from the recovered shards: the
@@ -1068,11 +1078,24 @@ fn read_decisions(dir: &Path) -> Result<Vec<DecisionRecord>, StoreError> {
         .collect())
 }
 
-fn read_watermark(dir: &Path) -> u64 {
-    std::fs::read_to_string(dir.join(WATERMARK_FILE))
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
+/// The applied-through watermark: 0 when the file is missing (no clean
+/// shutdown yet), a typed divergence when it is present but unreadable or
+/// not a number.
+fn read_watermark(dir: &Path) -> Result<u64, StoreError> {
+    let path = dir.join(WATERMARK_FILE);
+    let unreadable = |detail: String| {
+        StoreError::Recovery(RecoveryError::Divergence {
+            detail: format!("watermark {} is unreadable: {detail}", path.display()),
+        })
+    };
+    match std::fs::read_to_string(&path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
+        Err(e) => Err(unreadable(e.to_string())),
+        Ok(text) => text
+            .trim()
+            .parse()
+            .map_err(|e: std::num::ParseIntError| unreadable(e.to_string())),
+    }
 }
 
 /// Atomically (write + fsync + rename + dir fsync) records that every
@@ -1084,95 +1107,6 @@ fn write_watermark(dir: &Path, through: u64) -> std::io::Result<()> {
     std::fs::rename(&tmp, dir.join(WATERMARK_FILE))?;
     std::fs::File::open(dir)?.sync_all()?;
     Ok(())
-}
-
-/// Rolls decided-but-unapplied branches forward into `shard`'s log:
-/// replays the recovered state, applies each missing decision's ground
-/// delta in decision-log **append order** (the order the decisions' holds
-/// released — see [`read_decisions`]; id order can invert it and would
-/// reconstruct a state the coordinators never decided), and appends the
-/// corresponding [`Event::Cross`] (and any unseen shape declaration).
-/// Appending at the tail is sound because the decision's holds blocked
-/// every conflicting commit until the branch applied — a branch missing
-/// from the log has no successor that contradicts it. Returns how many
-/// branches were rolled forward.
-fn roll_forward_shard(
-    dir: &Path,
-    shard: u32,
-    pending: &[&DecisionRecord],
-    omega: &Omega,
-    wal_opts: &WalOptions,
-) -> Result<usize, StoreError> {
-    let rec = wal::recover(dir, omega, RecoveryOptions::default())?;
-    let applied: BTreeSet<u64> = rec
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            Event::Cross { decision, .. } => Some(*decision),
-            _ => None,
-        })
-        .collect();
-    let todo: Vec<(&DecisionRecord, &DecisionBranch)> = pending
-        .iter()
-        .filter(|d| !applied.contains(&d.id))
-        .filter_map(|d| {
-            d.branches
-                .iter()
-                .find(|b| b.shard == shard)
-                .map(|b| (*d, b))
-        })
-        .collect();
-    if todo.is_empty() {
-        return Ok(0);
-    }
-
-    let (mut writer, _logged_shapes) = WalWriter::resume(dir, wal_opts.clone())?;
-    let mut shape_ids: BTreeMap<String, u64> =
-        rec.templates.iter().map(|(id, t)| (t.key(), *id)).collect();
-    let mut next_shape = rec.templates.len() as u64;
-    let mut db = rec.db;
-    let rolled = todo.len();
-    for (version, (d, branch)) in (rec.version + 1..).zip(todo) {
-        let (template, bindings) = canonicalize(&branch.program).map_err(StoreError::Tx)?;
-        let key = template.key();
-        let shape = match shape_ids.get(&key) {
-            Some(&id) => id,
-            None => {
-                let id = next_shape;
-                next_shape += 1;
-                writer.append(&Record::Shape {
-                    id,
-                    template: template.clone(),
-                })?;
-                shape_ids.insert(key, id);
-                id
-            }
-        };
-        let new_db = branch
-            .program
-            .run(&db, omega)
-            .map(normalize_domain)
-            .map_err(|e| StoreError::Unshardable {
-                detail: format!(
-                    "decision {} branch for shard {shard} no longer applies: {e}",
-                    d.id
-                ),
-            })?;
-        let hash = root_hash(&new_db);
-        writer.append(&Record::Event(Event::Cross {
-            tx: branch.tx,
-            decision: d.id,
-            based_on: branch.based_on,
-            version,
-            writes: branch.program.touched_relations().into_iter().collect(),
-            shape,
-            bindings,
-            root_hash: hash,
-        }))?;
-        db = new_db;
-    }
-    writer.sync()?;
-    Ok(rolled)
 }
 
 // --- sharded cold audit ----------------------------------------------------
@@ -1201,7 +1135,9 @@ impl ShardedAuditReport {
 }
 
 /// Cold-audits a persisted sharded store: every shard's log is replayed
-/// and verified on its own (the per-shard [`AuditReport`]s), then the
+/// once and verified on its own ([`cold_audit_dir`], the per-shard
+/// [`AuditReport`]s: a replay divergence is a problem there, not an
+/// error), then the
 /// coordinator's decision log is cross-checked against the shards'
 /// `Cross` records — every `Cross` must reference a durable decision
 /// whose branch matches it (tx, based_on, and the delta program's
@@ -1211,24 +1147,16 @@ pub fn cold_audit_sharded(root: &Path, omega: &Omega) -> Result<ShardedAuditRepo
     let dirs = shard_dirs(root)?;
     let decisions_dir = root.join("decisions");
     let decisions = read_decisions(&decisions_dir)?;
-    let watermark = read_watermark(&decisions_dir);
+    let watermark = read_watermark(&decisions_dir)?;
     let by_id: BTreeMap<u64, &DecisionRecord> = decisions.iter().map(|d| (d.id, d)).collect();
 
     let mut problems = Vec::new();
     let mut shard_reports = Vec::with_capacity(dirs.len());
     let mut cross_events = 0usize;
-    let mut applied: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
+    let mut applied: BTreeSet<(u64, u32)> = BTreeSet::new();
     for (s, dir) in dirs.iter().enumerate() {
-        let rec = wal::recover(dir, omega, RecoveryOptions::default())?;
-        shard_reports.push(cold_audit_from(
-            &rec.alpha,
-            omega,
-            rec.base_version,
-            &rec.initial,
-            &rec.db,
-            &rec.events,
-            &rec.templates,
-        ));
+        let (rec, report) = cold_audit_dir(dir, omega)?;
+        shard_reports.push(report);
         for e in &rec.events {
             let Event::Cross {
                 tx,
@@ -1242,7 +1170,7 @@ pub fn cold_audit_sharded(root: &Path, omega: &Omega) -> Result<ShardedAuditRepo
                 continue;
             };
             cross_events += 1;
-            applied.entry(*decision).or_default().insert(s as u32);
+            applied.insert((*decision, s as u32));
             let Some(d) = by_id.get(decision) else {
                 problems.push(format!(
                     "shard {s}: Cross record for tx {tx} references decision {decision}, \
@@ -1287,11 +1215,7 @@ pub fn cold_audit_sharded(root: &Path, omega: &Omega) -> Result<ShardedAuditRepo
             continue;
         }
         for b in &d.branches {
-            let done = applied
-                .get(&d.id)
-                .map(|shards| shards.contains(&b.shard))
-                .unwrap_or(false);
-            if !done {
+            if !applied.contains(&(d.id, b.shard)) {
                 problems.push(format!(
                     "decision {} is durable but its branch for shard {} never applied \
                      (recovery should have rolled it forward)",

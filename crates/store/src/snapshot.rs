@@ -105,6 +105,54 @@ struct State {
     held: BTreeMap<String, u64>,
 }
 
+impl State {
+    /// The publish step both commit paths share, under the write lock:
+    /// merge the commit's output into the current state, advance the
+    /// version, stamp the written relations, and install the result.
+    /// Returns the new version and its root hash.
+    fn publish(
+        &mut self,
+        schema: &Schema,
+        based_on: u64,
+        writes: &BTreeSet<String>,
+        new_db: Database,
+    ) -> (u64, u64) {
+        let merged = if self.version == based_on {
+            // Fast path: nothing moved at all; the computed state is the
+            // next state verbatim.
+            new_db
+        } else {
+            // Disjoint interleaving: keep the current contents of
+            // unwritten relations, take the written ones from the
+            // transaction's output. Relations live behind individual
+            // `Arc`s, so this is a pointer swap per unwritten relation —
+            // no tuple is copied — and the domain re-normalization is O(1):
+            // it only marks the domain as the deferred active-domain view,
+            // which materializes lazily from the relations' cached domains
+            // if some later reader (a guard quantifier, an audit) asks.
+            let mut out = new_db;
+            for (rel, _) in schema.iter() {
+                if !writes.contains(rel) {
+                    out.set_rel_handle(rel, self.db.rel_handle(rel));
+                }
+            }
+            normalize_domain(out)
+        };
+        self.version += 1;
+        for rel in writes {
+            self.rel_versions.insert(rel.clone(), self.version);
+        }
+        // The commitment root: an O(#relations) combine over the cached
+        // per-relation content hashes. Unwritten relations arrived by
+        // pointer swap carrying their hash with them, so nothing here
+        // rehashes a tuple — the per-tuple work happened incrementally at
+        // mutation time, outside this lock.
+        let hash = root_hash(&merged);
+        self.db = Arc::new(merged);
+        (self.version, hash)
+    }
+}
+
 /// A thread-safe, versioned, in-memory store.
 pub struct VersionedStore {
     schema: Schema,
@@ -115,21 +163,7 @@ pub struct VersionedStore {
 impl VersionedStore {
     /// Ingests an initial state as version 0.
     pub fn new(initial: Database) -> Self {
-        let schema = initial.schema().clone();
-        let rel_versions = schema
-            .iter()
-            .map(|(name, _)| (name.to_string(), 0))
-            .collect();
-        VersionedStore {
-            schema,
-            state: RwLock::new(State {
-                version: 0,
-                db: Arc::new(initial),
-                rel_versions,
-                held: BTreeMap::new(),
-            }),
-            history: History::new(),
-        }
+        VersionedStore::resume(initial, 0, History::new(), BTreeMap::new())
     }
 
     /// Resumes a store at a recovered state and version, with a pre-seeded
@@ -238,40 +272,7 @@ impl VersionedStore {
             return (outcome, held.elapsed());
         }
 
-        let merged = if s.version == based_on {
-            // Fast path: nothing moved at all; the computed state is the
-            // next state verbatim.
-            new_db
-        } else {
-            // Disjoint interleaving: keep the current contents of
-            // unwritten relations, take the written ones from the
-            // transaction's output. Relations live behind individual
-            // `Arc`s, so this is a pointer swap per unwritten relation —
-            // no tuple is copied — and the domain re-normalization is O(1):
-            // it only marks the domain as the deferred active-domain view,
-            // which materializes lazily from the relations' cached domains
-            // if some later reader (a guard quantifier, an audit) asks.
-            let mut out = new_db;
-            for (rel, _) in self.schema.iter() {
-                if !writes.contains(rel) {
-                    out.set_rel_handle(rel, s.db.rel_handle(rel));
-                }
-            }
-            normalize_domain(out)
-        };
-
-        s.version += 1;
-        let version = s.version;
-        for rel in &writes {
-            s.rel_versions.insert(rel.clone(), version);
-        }
-        // The commitment root: an O(#relations) combine over the cached
-        // per-relation content hashes. Unwritten relations arrived by
-        // pointer swap carrying their hash with them, so nothing here
-        // rehashes a tuple — the per-tuple work happened incrementally at
-        // mutation time, outside this lock.
-        let hash = root_hash(&merged);
-        s.db = Arc::new(merged);
+        let (version, hash) = s.publish(&self.schema, based_on, &writes, new_db);
         // With a pre-encoded payload the append is a 16-byte patch plus a
         // buffered write; otherwise the history encodes under the lock.
         if let Some(payload) = encoded.as_mut() {
@@ -353,24 +354,7 @@ impl VersionedStore {
                 .all(|rel| s.rel_versions.get(rel).copied().unwrap_or(0) <= based_on),
             "a held relation moved between prepare and commit"
         );
-        let merged = if s.version == based_on {
-            new_db
-        } else {
-            let mut out = new_db;
-            for (rel, _) in self.schema.iter() {
-                if !writes.contains(rel) {
-                    out.set_rel_handle(rel, s.db.rel_handle(rel));
-                }
-            }
-            normalize_domain(out)
-        };
-        s.version += 1;
-        let version = s.version;
-        for rel in &writes {
-            s.rel_versions.insert(rel.clone(), version);
-        }
-        let hash = root_hash(&merged);
-        s.db = Arc::new(merged);
+        let (version, hash) = s.publish(&self.schema, based_on, &writes, new_db);
         let wal_offset = self.history.record_commit(
             Event::Cross {
                 tx,

@@ -37,18 +37,21 @@
 //!   ([`StoreServer::checkpoint`](crate::StoreServer::checkpoint)), and at
 //!   clean shutdown.
 //! * **Recovery is a cold audit.** [`recover`] loads a checkpoint and
-//!   replays the log tail through the *rollback* path
-//!   ([`RuntimeChecked`]): every replayed commit must re-derive from its
-//!   recorded provenance, pass the deferred constraint check, and
-//!   reproduce its recorded root hash. A torn tail (a record the crash
-//!   cut short) is detected by checksum and cleanly discarded; a corrupt
-//!   *interior* record is a hard, typed [`WalError::Corrupt`] — that log
-//!   was tampered with or the disk is lying, and no prefix of it should be
-//!   trusted silently.
+//!   replays the log tail through the replay step in `replay.rs` — the
+//!   one engine recovery, the cold audits and cross-shard roll-forward
+//!   share: every replayed commit must re-derive from its recorded
+//!   provenance, pass the deferred constraint check of the *rollback*
+//!   path (`RuntimeChecked`), match its recorded write set, and reproduce
+//!   its recorded root hash. Recovery stops at the first divergence. A
+//!   torn tail (a record the crash cut short) is detected by checksum and
+//!   cleanly discarded; a corrupt *interior* record is a hard, typed
+//!   [`WalError::Corrupt`] — that log was tampered with or the disk is
+//!   lying, and no prefix of it should be trusted silently.
 
 use crate::exec::TxOutcome;
-use crate::history::{fnv1a_64, root_hash, state_hash, Event};
+use crate::history::{committed, fnv1a_64, root_hash, state_hash, Event};
 use crate::metrics::{names, StoreMetrics};
+use crate::replay::{resolve, Replayer};
 use crate::session::TicketState;
 use crate::snapshot::VersionedStore;
 use crate::StoreError;
@@ -59,15 +62,14 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use vpdt_core::safe::RuntimeChecked;
 use vpdt_eval::Omega;
 use vpdt_logic::{Elem, Formula, Schema};
 use vpdt_obs::TraceStage;
 use vpdt_structure::Database;
 use vpdt_tx::codec::{self, CodecError, Cursor};
-use vpdt_tx::program::{Program, ProgramTransaction};
+use vpdt_tx::program::Program;
 use vpdt_tx::template::Template;
-use vpdt_tx::traits::{Transaction, TxError};
+use vpdt_tx::traits::TxError;
 
 /// On-disk format version; bumped on any incompatible change. Version 2
 /// redefined the commit hash: commit records (and checkpoint anchors) now
@@ -267,7 +269,7 @@ impl fmt::Display for RecoveryError {
                 computed,
             } => write!(
                 f,
-                "replaying tx {tx} at version {version} produces state hash {computed:#x}, \
+                "replaying tx {tx} at version {version} produces root hash {computed:#x}, \
                  log records {recorded:#x}"
             ),
             RecoveryError::Rejected {
@@ -715,8 +717,8 @@ fn segment_path(dir: &Path, seq: u64) -> PathBuf {
 }
 
 /// The append half of the log: owned by the server's
-/// [`History`](crate::History) while it runs, handed back at shutdown to
-/// write the clean checkpoint.
+/// [`History`](crate::History), which also writes the checkpoints through
+/// it.
 #[derive(Debug)]
 pub struct WalWriter {
     dir: PathBuf,
@@ -966,15 +968,7 @@ impl DurableLog {
     pub(crate) fn append_event(&mut self, e: &Event) -> Result<u64, WalError> {
         let offset = self.writer.append_payload(&encode_event(e))?;
         if matches!(e, Event::Commit { .. }) {
-            if let Some(flusher) = &self.flusher {
-                flusher.note_append(
-                    self.writer.current_file(),
-                    self.writer.current_path(),
-                    self.writer.offset(),
-                );
-            } else if self.fsync_commits {
-                self.writer.sync()?;
-            }
+            self.published_commit()?;
         }
         Ok(offset)
     }
@@ -986,16 +980,23 @@ impl DurableLog {
     pub(crate) fn append_commit_payload(&mut self, payload: &[u8]) -> Result<u64, WalError> {
         debug_assert_eq!(payload.first(), Some(&TAG_COMMIT));
         let offset = self.writer.append_payload(payload)?;
-        if let Some(flusher) = &self.flusher {
-            flusher.note_append(
+        self.published_commit()?;
+        Ok(offset)
+    }
+
+    /// A commit record was just appended: tell the flusher how far the log
+    /// has grown, or flush inline when there is no flusher.
+    fn published_commit(&mut self) -> Result<(), WalError> {
+        match &self.flusher {
+            Some(flusher) => flusher.note_append(
                 self.writer.current_file(),
                 self.writer.current_path(),
                 self.writer.offset(),
-            );
-        } else if self.fsync_commits {
-            self.writer.sync()?;
+            ),
+            None if self.fsync_commits => self.writer.sync()?,
+            None => {}
         }
-        Ok(offset)
+        Ok(())
     }
 
     /// Logs a shape declaration the first time the shape is used durably.
@@ -1452,26 +1453,12 @@ pub struct LogScan {
 /// reported; damage anywhere else is a hard [`WalError::Corrupt`].
 pub fn scan_log(dir: impl AsRef<Path>) -> Result<LogScan, WalError> {
     let dir = dir.as_ref();
-    let mut seqs: Vec<u64> = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(|e| io_err(dir, e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err(dir, e))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(seq) = name
-            .strip_prefix("wal-")
-            .and_then(|s| s.strip_suffix(".log"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            seqs.push(seq);
-        }
-    }
+    let seqs = list_segment_seqs(dir)?;
     if seqs.is_empty() {
         return Err(WalError::NoLog {
             dir: dir.display().to_string(),
         });
     }
-    seqs.sort_unstable();
     let first_seq = seqs[0];
     for (i, &seq) in seqs.iter().enumerate() {
         if seq != first_seq + i as u64 {
@@ -1550,24 +1537,7 @@ pub fn scan_log(dir: impl AsRef<Path>) -> Result<LogScan, WalError> {
             if first {
                 // Every segment must open with a matching header record.
                 first = false;
-                let mut c = Cursor::new(payload);
-                let header = (|| -> Result<(u32, u64, u64), CodecError> {
-                    let at = c.pos();
-                    let tag = c.u8("segment tag")?;
-                    if tag != TAG_SEGMENT {
-                        return Err(CodecError::BadTag {
-                            at,
-                            what: "segment header",
-                            tag,
-                        });
-                    }
-                    let v = c.u32("format version")?;
-                    let s = c.u64("segment seq")?;
-                    let b = c.u64("base offset")?;
-                    c.finish()?;
-                    Ok((v, s, b))
-                })();
-                match header {
+                match decode_segment_header(payload) {
                     Ok((v, _, _)) if v != FORMAT_VERSION => {
                         return Err(WalError::Version {
                             found: v,
@@ -1662,24 +1632,31 @@ fn read_segment_base(path: &Path) -> Result<u64, WalError> {
     if fnv1a_64(&payload) != sum {
         return Err(corrupt("header checksum mismatch".to_string()));
     }
-    let mut c = Cursor::new(&payload);
-    (|| -> Result<u64, CodecError> {
-        let at = c.pos();
-        let tag = c.u8("segment tag")?;
-        if tag != TAG_SEGMENT {
-            return Err(CodecError::BadTag {
-                at,
-                what: "segment header",
-                tag,
-            });
-        }
-        let _version = c.u32("format version")?;
-        let _seq = c.u64("segment seq")?;
-        let base = c.u64("base offset")?;
-        c.finish()?;
-        Ok(base)
-    })()
-    .map_err(|e| corrupt(format!("bad segment header: {e}")))
+    decode_segment_header(&payload)
+        .map(|(_, _, base)| base)
+        .map_err(|e| corrupt(format!("bad segment header: {e}")))
+}
+
+/// Decodes a segment header record: `(format version, segment seq, base
+/// offset)`.
+fn decode_segment_header(payload: &[u8]) -> Result<(u32, u64, u64), CodecError> {
+    let mut c = Cursor::new(payload);
+    let at = c.pos();
+    let tag = c.u8("segment tag")?;
+    if tag != TAG_SEGMENT {
+        return Err(CodecError::BadTag {
+            at,
+            what: "segment header",
+            tag,
+        });
+    }
+    let header = (
+        c.u32("format version")?,
+        c.u64("segment seq")?,
+        c.u64("base offset")?,
+    );
+    c.finish()?;
+    Ok(header)
 }
 
 /// Deletes every segment whose records are *entirely* below `covered` —
@@ -1714,22 +1691,31 @@ pub fn gc_segments(dir: impl AsRef<Path>, covered: u64) -> Result<Vec<PathBuf>, 
 
 /// The WAL segment sequence numbers present in `dir`, sorted ascending.
 fn list_segment_seqs(dir: &Path) -> Result<Vec<u64>, WalError> {
-    let mut seqs: Vec<u64> = Vec::new();
+    Ok(list_numbered(dir, "wal-", ".log")?
+        .into_iter()
+        .map(|(seq, _)| seq)
+        .collect())
+}
+
+/// The files in `dir` named `{prefix}N{suffix}`, as `(N, path)` sorted by
+/// `N`.
+fn list_numbered(dir: &Path, prefix: &str, suffix: &str) -> Result<Vec<(u64, PathBuf)>, WalError> {
+    let mut out = Vec::new();
     let entries = std::fs::read_dir(dir).map_err(|e| io_err(dir, e))?;
     for entry in entries {
         let entry = entry.map_err(|e| io_err(dir, e))?;
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        if let Some(seq) = name
-            .strip_prefix("wal-")
-            .and_then(|s| s.strip_suffix(".log"))
+        if let Some(n) = name
+            .strip_prefix(prefix)
+            .and_then(|s| s.strip_suffix(suffix))
             .and_then(|s| s.parse::<u64>().ok())
         {
-            seqs.push(seq);
+            out.push((n, entry.path()));
         }
     }
-    seqs.sort_unstable();
-    Ok(seqs)
+    out.sort_unstable_by_key(|(n, _)| *n);
+    Ok(out)
 }
 
 /// Deletes superseded `checkpoint-*.ckpt` files, keeping exactly what
@@ -1930,23 +1916,7 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint, WalError> {
 
 /// The checkpoints present in `dir`, as `(offset, path)` sorted by offset.
 pub fn list_checkpoints(dir: impl AsRef<Path>) -> Result<Vec<(u64, PathBuf)>, WalError> {
-    let dir = dir.as_ref();
-    let mut out = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(|e| io_err(dir, e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err(dir, e))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(off) = name
-            .strip_prefix("checkpoint-")
-            .and_then(|s| s.strip_suffix(".ckpt"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            out.push((off, entry.path()));
-        }
-    }
-    out.sort_unstable_by_key(|(off, _)| *off);
-    Ok(out)
+    list_numbered(dir.as_ref(), "checkpoint-", ".ckpt")
 }
 
 /// Reads the genesis checkpoint (offset 0) — the initial state a cold
@@ -1967,11 +1937,12 @@ pub fn read_genesis(dir: impl AsRef<Path>) -> Result<Checkpoint, WalError> {
 /// Knobs of [`recover`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryOptions {
-    /// Ignore later checkpoints and replay the entire surviving log from
-    /// the *floor* checkpoint — the genesis for a full log, the oldest
-    /// checkpoint that still covers the first surviving record after
-    /// segment retention. Slower; used by audits and by the property test
-    /// that pins `recover(checkpoint + tail)` to the full replay.
+    /// Replay the entire surviving log from the *floor* checkpoint — the
+    /// genesis for a full log, the oldest checkpoint that still covers the
+    /// first surviving record after segment retention — checking every
+    /// later checkpoint against the replay as it is crossed. Slower; used
+    /// by the property test that pins `recover(checkpoint + tail)` to the
+    /// full replay.
     pub from_genesis: bool,
 }
 
@@ -2023,23 +1994,33 @@ pub struct Recovered {
     pub torn_bytes: u64,
 }
 
-/// Recovers the store state from `dir`: loads the newest checkpoint
-/// (or genesis, under [`RecoveryOptions::from_genesis`]), then replays the
-/// log tail — verifying, for every commit, that its `(shape, bindings)`
-/// provenance instantiates, that the deferred check-and-rollback path
-/// accepts it, and that it reproduces the recorded state hash. Recovery
-/// *is* a cold audit of the tail; [`crate::audit::cold_audit`] extends the
-/// same verification to the whole log.
-///
-/// `omega` is the Ω interpretation programs run under — interpretations
-/// are code, not data, so the caller supplies the same one the original
-/// server ran with.
-pub fn recover(
-    dir: impl AsRef<Path>,
-    omega: &Omega,
-    opts: RecoveryOptions,
-) -> Result<Recovered, RecoveryError> {
-    let dir = dir.as_ref();
+/// A log read back for replay, before any commit is replayed: the floor
+/// checkpoint, the checkpoint replay starts from (both checked against
+/// their own hashes, the start one also anchored in the log), every shape
+/// declaration, the history events from the floor on, the index of the
+/// first event after the start checkpoint, and the later checkpoints a
+/// replay from the floor crosses, each before the event at its index.
+pub(crate) struct LoadedLog {
+    pub(crate) floor: Checkpoint,
+    pub(crate) start: Checkpoint,
+    pub(crate) templates: BTreeMap<u64, Template>,
+    pub(crate) events: Vec<Event>,
+    start_at: usize,
+    pub(crate) crossings: Vec<(usize, Crossing)>,
+    torn_bytes: u64,
+}
+
+/// A later checkpoint a replay from the floor crosses: at `offset` the
+/// replay must stand at `version` with root hash `root_hash`.
+pub(crate) struct Crossing {
+    pub(crate) offset: u64,
+    pub(crate) version: u64,
+    pub(crate) root_hash: u64,
+}
+
+/// Loads `dir` for replay from its newest checkpoint, or from the floor
+/// checkpoint (checking every later one too) when `from_floor`.
+pub(crate) fn load(dir: &Path, from_floor: bool) -> Result<LoadedLog, RecoveryError> {
     let scan = scan_log(dir)?;
     let cks = list_checkpoints(dir)?;
     let (_, latest_path) = cks.last().ok_or_else(|| WalError::NoCheckpoint {
@@ -2049,16 +2030,16 @@ pub fn recover(
     // base for the surviving log — genesis for a full log, the oldest
     // checkpoint at or past the first surviving record after segment
     // retention.
-    let (_, floor_path) = cks
+    let floor_at = cks
         .iter()
-        .find(|(off, _)| *off >= scan.base_offset)
+        .position(|(off, _)| *off >= scan.base_offset)
         .ok_or_else(|| RecoveryError::Divergence {
             detail: format!(
                 "the log starts at offset {} but no checkpoint covers that far",
                 scan.base_offset
             ),
         })?;
-    let floor = read_checkpoint(floor_path)?;
+    let floor = read_checkpoint(&cks[floor_at].1)?;
     if scan.base_offset == 0 {
         if floor.offset != 0 {
             return Err(WalError::NoCheckpoint {
@@ -2072,7 +2053,7 @@ pub fn recover(
             });
         }
     }
-    let ck = if opts.from_genesis || latest_path == floor_path {
+    let start = if from_floor || *latest_path == cks[floor_at].1 {
         // Re-reading (and re-decoding the full database of) the same
         // checkpoint file would double recovery's startup cost.
         floor.clone()
@@ -2080,10 +2061,14 @@ pub fn recover(
         read_checkpoint(latest_path)?
     };
 
-    // Every checkpoint in play must be internally consistent: the full
+    // Every checkpoint in play must be internally consistent — the full
     // encoding hash (snapshot integrity) and the commitment root (the
-    // anchor value commits record) must both match its state.
-    for c in [&floor, &ck] {
+    // anchor value commits record) must both match its state — and within
+    // the surviving log's extent. Its shape declarations join the log's;
+    // conflicting declarations of one id are tampering.
+    let mut templates = BTreeMap::new();
+    let log_end = scan.base_offset + scan.records.len() as u64;
+    let mut check = |c: &Checkpoint| -> Result<(), RecoveryError> {
         if state_hash(&c.db) != c.state_hash {
             return Err(RecoveryError::Divergence {
                 detail: format!(
@@ -2106,40 +2091,50 @@ pub fn recover(
                 ),
             });
         }
+        if c.offset < scan.base_offset || c.offset > log_end {
+            return Err(RecoveryError::Divergence {
+                detail: format!(
+                    "checkpoint covers {} records but the log holds only offsets {}..{}",
+                    c.offset, scan.base_offset, log_end
+                ),
+            });
+        }
+        merge_templates(&mut templates, &c.templates)
+    };
+    check(&floor)?;
+    check(&start)?;
+    // Later checkpoints are checked one at a time; a replay from the floor
+    // keeps only what its crossing check needs, not each full state.
+    let mut later = Vec::new();
+    if from_floor {
+        for (_, path) in &cks[floor_at + 1..] {
+            let c = read_checkpoint(path)?;
+            check(&c)?;
+            later.push(Crossing {
+                offset: c.offset,
+                version: c.version,
+                root_hash: c.root_hash,
+            });
+        }
     }
-    // ...within the surviving log's extent...
-    let log_end = scan.base_offset + scan.records.len() as u64;
-    if ck.offset < scan.base_offset || ck.offset > log_end {
-        return Err(RecoveryError::Divergence {
-            detail: format!(
-                "checkpoint covers {} records but the log holds only offsets {}..{}",
-                ck.offset, scan.base_offset, log_end
-            ),
-        });
-    }
-    // ...and anchored to the commit record it claims to cover.
-    let last_commit_covered = scan.records[..(ck.offset - scan.base_offset) as usize]
+    // The start checkpoint must be anchored to the commit record it
+    // claims to cover (a replay from the floor checks the later ones as
+    // it crosses them).
+    let last_commit_covered = scan.records[..(start.offset - scan.base_offset) as usize]
         .iter()
         .rev()
         .find_map(|r| match &r.record {
-            Record::Event(
-                Event::Commit {
-                    version, root_hash, ..
-                }
-                | Event::Cross {
-                    version, root_hash, ..
-                },
-            ) => Some((*version, *root_hash)),
+            Record::Event(e) => committed(e).map(|c| (c.version, c.root_hash)),
             _ => None,
         });
     match last_commit_covered {
         Some((v, h)) => {
-            if v != ck.version || h != ck.root_hash {
+            if v != start.version || h != start.root_hash {
                 return Err(RecoveryError::Divergence {
                     detail: format!(
                         "checkpoint claims version {} (root hash {:#x}) but the last covered \
                          commit is version {v} (root hash {h:#x})",
-                        ck.version, ck.root_hash
+                        start.version, start.root_hash
                     ),
                 });
             }
@@ -2149,200 +2144,173 @@ pub fn recover(
             // checkpoint must be genesis-shaped; after retention the
             // covering commits may simply have been deleted, and the
             // self-hash check above remains the anchor.
-            if scan.base_offset == 0 && ck.version != 0 {
+            if scan.base_offset == 0 && start.version != 0 {
                 return Err(RecoveryError::Divergence {
                     detail: format!(
                         "checkpoint claims version {} but covers no commit records",
-                        ck.version
+                        start.version
                     ),
                 });
             }
         }
     }
 
-    // Shape identities: checkpointed templates plus every declaration in
-    // the log. Conflicting declarations of one id are tampering.
-    let mut templates = floor.templates.clone();
-    for (id, template) in &ck.templates {
-        if let Some(prev) = templates.get(id) {
-            if prev != template {
-                return Err(RecoveryError::Divergence {
-                    detail: format!("shape {id} is declared twice with different templates"),
-                });
+    let mut events = Vec::new();
+    let mut offsets = Vec::new();
+    for r in scan.records {
+        match r.record {
+            Record::Shape { id, template } => merge_templates(&mut templates, [(&id, &template)])?,
+            Record::Event(e) if r.offset >= floor.offset => {
+                events.push(e);
+                offsets.push(r.offset);
             }
-        } else {
-            templates.insert(*id, template.clone());
+            Record::Event(_) | Record::Decision(_) => {}
         }
     }
-    for r in &scan.records {
-        if let Record::Shape { id, template } = &r.record {
-            if let Some(prev) = templates.get(id) {
-                if prev != template {
-                    return Err(RecoveryError::Divergence {
-                        detail: format!("shape {id} is declared twice with different templates"),
-                    });
-                }
-            } else {
-                templates.insert(*id, template.clone());
-            }
-        }
-    }
-
-    // Replay the tail, verifying as we go: recovery is a cold audit.
-    let mut db = ck.db.clone();
-    let mut version = ck.version;
-    let mut commits_replayed = 0usize;
-    for r in &scan.records[(ck.offset - scan.base_offset) as usize..] {
-        // A `Cross` record replays exactly like a `Commit`: its
-        // `(shape, bindings)` provenance reconstructs the shard-local
-        // delta program, which must re-derive, pass check-and-rollback,
-        // and reproduce the recorded root — the decision id it carries is
-        // cross-checked against the decision log by the sharded recovery.
-        let Record::Event(
-            Event::Commit {
-                tx,
-                version: v,
-                shape,
-                bindings,
-                root_hash: recorded,
-                ..
-            }
-            | Event::Cross {
-                tx,
-                version: v,
-                shape,
-                bindings,
-                root_hash: recorded,
-                ..
-            },
-        ) = &r.record
-        else {
-            continue;
-        };
-        if *v != version + 1 {
-            return Err(RecoveryError::Divergence {
-                detail: format!(
-                    "commit of tx {tx} has version {v}, expected {} (reordered or dropped \
-                     commit)",
-                    version + 1
-                ),
-            });
-        }
-        let template = templates.get(shape).ok_or(RecoveryError::UnknownShape {
-            tx: *tx,
-            shape: *shape,
-        })?;
-        let program = template
-            .instantiate(bindings)
-            .map_err(|e| RecoveryError::Provenance {
-                tx: *tx,
-                detail: e.to_string(),
-            })?;
-        let checked = RuntimeChecked::new(
-            ProgramTransaction::new("recovery", program, omega.clone()),
-            ck.alpha.clone(),
-            omega.clone(),
-        );
-        match checked.apply(&db) {
-            Ok(next) => {
-                let computed = root_hash(&next);
-                if computed != *recorded {
-                    return Err(RecoveryError::HashMismatch {
-                        tx: *tx,
-                        version: *v,
-                        recorded: *recorded,
-                        computed,
-                    });
-                }
-                db = next;
-                version = *v;
-                commits_replayed += 1;
-            }
-            Err(TxError::Aborted(reason)) => {
-                return Err(RecoveryError::Rejected {
-                    tx: *tx,
-                    version: *v,
-                    reason,
-                })
-            }
-            Err(e) => {
-                return Err(RecoveryError::Replay {
-                    tx: *tx,
-                    version: *v,
-                    detail: e.to_string(),
-                })
-            }
-        }
-    }
-
-    let events: Vec<Event> = scan
-        .records
-        .iter()
-        .filter(|r| r.offset >= floor.offset)
-        .filter_map(|r| match &r.record {
-            Record::Event(e) => Some(e.clone()),
-            Record::Shape { .. } | Record::Decision(_) => None,
-        })
-        .collect();
-    let max_tx = events
-        .iter()
-        .map(|e| match e {
-            Event::Begin { tx, .. }
-            | Event::GuardEval { tx, .. }
-            | Event::Commit { tx, .. }
-            | Event::Abort { tx, .. }
-            | Event::Cross { tx, .. } => *tx,
-        })
-        .max();
-    let next_tx = ck
-        .next_tx
-        .max(floor.next_tx)
-        .max(max_tx.map_or(0, |t| t + 1));
-
-    // Each relation's actual last writer, reconstructed from the commit
-    // footprints since the floor — finer than stamping every relation with
-    // the recovery point, so the first post-recovery disjoint commits
-    // validate against real history. Relations unwritten since the floor
-    // carry the floor version (their true last writer is at or below it,
-    // and every post-resume snapshot is above it, so the seed can only be
-    // exact-or-conservative).
-    let mut rel_versions: BTreeMap<String, u64> = ck
-        .schema
-        .iter()
-        .map(|(name, _)| (name.to_string(), floor.version))
-        .collect();
-    for e in &events {
-        if let Event::Commit {
-            version: v, writes, ..
-        }
-        | Event::Cross {
-            version: v, writes, ..
-        } = e
-        {
-            for w in writes {
-                let slot = rel_versions.entry(w.clone()).or_insert(0);
-                *slot = (*slot).max(*v);
-            }
-        }
-    }
-
-    Ok(Recovered {
-        state_hash: state_hash(&db),
-        root_hash: root_hash(&db),
-        db,
-        version,
-        next_tx,
+    let at = |offset: u64| offsets.partition_point(|&o| o < offset);
+    Ok(LoadedLog {
+        start_at: at(start.offset),
+        crossings: later.into_iter().map(|c| (at(c.offset), c)).collect(),
+        floor,
+        start,
         templates,
         events,
-        alpha: ck.alpha,
-        schema: ck.schema,
-        initial: floor.db,
-        base_version: floor.version,
-        rel_versions,
-        commits_replayed,
-        checkpoint_offset: ck.offset,
         torn_bytes: scan.torn_bytes,
     })
+}
+
+/// Adds shape declarations to `into`; two different templates under one
+/// id are a divergence.
+fn merge_templates<'t>(
+    into: &mut BTreeMap<u64, Template>,
+    from: impl IntoIterator<Item = (&'t u64, &'t Template)>,
+) -> Result<(), RecoveryError> {
+    for (id, template) in from {
+        match into.get(id) {
+            Some(prev) if prev != template => {
+                return Err(RecoveryError::Divergence {
+                    detail: format!("shape {id} is declared twice with different templates"),
+                })
+            }
+            Some(_) => {}
+            None => {
+                into.insert(*id, template.clone());
+            }
+        }
+    }
+    Ok(())
+}
+
+impl LoadedLog {
+    /// What a replay of this log reconstructed: `db` at `version` after
+    /// `commits_replayed` verified commits.
+    pub(crate) fn into_recovered(
+        self,
+        db: Database,
+        version: u64,
+        commits_replayed: usize,
+    ) -> Recovered {
+        let max_tx = self
+            .events
+            .iter()
+            .map(|e| match e {
+                Event::Begin { tx, .. }
+                | Event::GuardEval { tx, .. }
+                | Event::Commit { tx, .. }
+                | Event::Abort { tx, .. }
+                | Event::Cross { tx, .. } => *tx,
+            })
+            .max();
+        let next_tx = self
+            .start
+            .next_tx
+            .max(self.floor.next_tx)
+            .max(max_tx.map_or(0, |t| t + 1));
+
+        // Each relation's actual last writer, reconstructed from the commit
+        // footprints since the floor — finer than stamping every relation
+        // with the recovery point, so the first post-recovery disjoint
+        // commits validate against real history. Relations unwritten since
+        // the floor carry the floor version (their true last writer is at
+        // or below it, and every post-resume snapshot is above it, so the
+        // seed can only be exact-or-conservative).
+        let mut rel_versions: BTreeMap<String, u64> = self
+            .start
+            .schema
+            .iter()
+            .map(|(name, _)| (name.to_string(), self.floor.version))
+            .collect();
+        for c in self.events.iter().filter_map(committed) {
+            for w in c.writes {
+                let slot = rel_versions.entry(w.clone()).or_insert(0);
+                *slot = (*slot).max(c.version);
+            }
+        }
+
+        Recovered {
+            state_hash: state_hash(&db),
+            root_hash: root_hash(&db),
+            db,
+            version,
+            next_tx,
+            templates: self.templates,
+            events: self.events,
+            alpha: self.start.alpha,
+            schema: self.start.schema,
+            initial: self.floor.db,
+            base_version: self.floor.version,
+            rel_versions,
+            commits_replayed,
+            checkpoint_offset: self.start.offset,
+            torn_bytes: self.torn_bytes,
+        }
+    }
+}
+
+/// Recovers the store state from `dir`: loads the newest checkpoint
+/// (or the floor, under [`RecoveryOptions::from_genesis`]), then replays
+/// the log tail through the replay step in `replay.rs` — every commit's
+/// `(shape, bindings)` provenance must instantiate, the deferred
+/// check-and-rollback path must accept it, its write set must match, and
+/// it must reproduce its recorded root hash; every later checkpoint a
+/// replay from the floor crosses must record the replayed version and
+/// root. Recovery fails fast: the first divergence is returned as a typed
+/// [`RecoveryError`]. [`crate::audit::cold_audit_dir`] runs the same step
+/// over the whole log and collects every problem instead.
+///
+/// `omega` is the Ω interpretation programs run under — interpretations
+/// are code, not data, so the caller supplies the same one the original
+/// server ran with.
+pub fn recover(
+    dir: impl AsRef<Path>,
+    omega: &Omega,
+    opts: RecoveryOptions,
+) -> Result<Recovered, RecoveryError> {
+    let log = load(dir.as_ref(), opts.from_genesis)?;
+    let mut replay = Replayer::new(
+        &log.start.alpha,
+        omega,
+        log.start.db.clone(),
+        log.start.version,
+    );
+    let mut crossings = log.crossings.iter().peekable();
+    let mut commits_replayed = 0usize;
+    for (i, event) in log.events.iter().enumerate().skip(log.start_at) {
+        while let Some((_, c)) = crossings.next_if(|(at, _)| *at <= i) {
+            replay.cross(c)?;
+        }
+        let Some(c) = committed(event) else {
+            continue;
+        };
+        let program = resolve(&log.templates, c.tx, c.shape, c.bindings)?;
+        replay.step(&c, &program)?;
+        commits_replayed += 1;
+    }
+    for (_, c) in crossings {
+        replay.cross(c)?;
+    }
+    let (db, version) = replay.into_state();
+    Ok(log.into_recovered(db, version, commits_replayed))
 }
 
 impl VersionedStore {

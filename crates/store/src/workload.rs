@@ -5,7 +5,7 @@
 //! ambient randomness anywhere in the store, so every benchmark run and
 //! every audited history is reproducible bit-for-bit.
 
-use crate::exec::{Job, Submitter};
+use crate::exec::Job;
 use crate::server::StoreServer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,6 +62,14 @@ pub fn statement_menu(rels: usize, universe: u64) -> Vec<Program> {
     menu
 }
 
+/// Appends `program` as the next job: transaction id = position.
+fn push_job(jobs: &mut Vec<Job>, program: Program) {
+    jobs.push(Job {
+        id: jobs.len() as u64,
+        program,
+    });
+}
+
 /// A deterministic batch: `clients × per_client` jobs, each client drawing
 /// from the statement menu with its own derived seed.
 pub fn sharded_jobs(
@@ -72,15 +80,15 @@ pub fn sharded_jobs(
     universe: u64,
 ) -> Vec<Job> {
     let menu = statement_menu(rels, universe);
-    let mut submitter = Submitter::new();
+    let mut jobs = Vec::new();
     for client in 0..clients {
         let mut rng = StdRng::seed_from_u64(client_seed(base_seed, client));
         for _ in 0..per_client {
             let pick = rng.gen_range(0..menu.len());
-            submitter.submit(menu[pick].clone());
+            push_job(&mut jobs, menu[pick].clone());
         }
     }
-    submitter.into_jobs()
+    jobs
 }
 
 /// A deterministic batch for **large** configurations: `clients ×
@@ -98,7 +106,7 @@ pub fn scaled_jobs(
     rels: usize,
     universe: u64,
 ) -> Vec<Job> {
-    let mut submitter = Submitter::new();
+    let mut jobs = Vec::new();
     for client in 0..clients {
         let mut rng = StdRng::seed_from_u64(client_seed(base_seed, client));
         for _ in 0..per_client {
@@ -110,10 +118,10 @@ pub fn scaled_jobs(
             } else {
                 Program::delete_consts(rel, [a, b])
             };
-            submitter.submit(program);
+            push_job(&mut jobs, program);
         }
     }
-    submitter.into_jobs()
+    jobs
 }
 
 /// The canonical way to drive a job list through a running server: one
@@ -172,7 +180,7 @@ pub fn cross_mix_jobs(
     cross_fraction: f64,
 ) -> Vec<Job> {
     assert!(rels >= 2, "a cross mix needs at least two relations");
-    let mut submitter = Submitter::new();
+    let mut jobs = Vec::new();
     for client in 0..clients {
         let mut rng = StdRng::seed_from_u64(client_seed(base_seed, client));
         for _ in 0..per_client {
@@ -199,10 +207,10 @@ pub fn cross_mix_jobs(
             } else {
                 Program::delete_consts(format!("R{r}"), [a, b])
             };
-            submitter.submit(program);
+            push_job(&mut jobs, program);
         }
     }
-    submitter.into_jobs()
+    jobs
 }
 
 /// How a [`serve_sharded_chunked`] run split between the two paths.

@@ -9,7 +9,7 @@
 //! vpdtool store    --workers 4 --clients 8 --txs 200 --rels 4 --universe 6 --seed 42
 //! vpdtool store    --persist ./wal            # durable: write-ahead log + checkpoints
 //! vpdtool store    --persist ./wal --recover  # resume a persisted store and keep serving
-//! vpdtool audit    --log ./wal                # cold audit: recover + replay + verify
+//! vpdtool audit    --log ./wal                # cold audit: one replay of the log, every check
 //! vpdtool wal gc ./wal                        # delete covered log segments + stale checkpoints
 //! vpdtool stats ./wal                         # Prometheus-text metrics from a cold log
 //! vpdtool stats --live                        # serve a demo workload, dump live metrics + traces
@@ -182,7 +182,7 @@ fn run(args: &[String]) -> Result<(), String> {
                  --shards partitions the relations across N shard stores behind a footprint\n           \
                  router (a slice of the workload then commits via cross-shard 2PC)\n  \
                  audit    --log DIR [--omega O]                 cold audit of a persisted store:\n           \
-                 recover snapshot + log tail, replay every commit, verify hashes & provenance\n           \
+                 replay the log once from its floor checkpoint, verify hashes, checkpoints & provenance\n           \
                  (a sharded layout — shard-0/, decisions/ — is detected and cross-checked\n           \
                  against its decision log automatically)\n  \
                  wal gc DIR                                     delete log segments fully covered\n           \
@@ -410,7 +410,7 @@ fn run_store(args: &[String]) -> Result<(), String> {
     // that also covers history from before a --recover. In-memory runs
     // audit the live report.
     let verdict = if let Some(dir) = &persist {
-        cold_audit_dir(dir, &omega)?
+        audit_log_dir(dir, &omega)?
     } else {
         let (initial, alpha) = mem_audit_inputs.expect("fresh unpersisted run");
         audit(
@@ -831,43 +831,34 @@ fn run_net_drive(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Recovers a persisted directory and runs the full cold audit over it —
-/// from the genesis state when the whole log survives, from the floor
-/// checkpoint when segment retention has deleted a covered prefix.
-fn cold_audit_dir(dir: &str, omega: &Omega) -> Result<vpdt::store::AuditReport, String> {
-    use vpdt::store::wal::{self, RecoveryOptions};
-    let recovered = wal::recover(dir, omega, RecoveryOptions::default())
-        .map_err(|e| format!("recovery of {dir} failed: {e}"))?;
+/// Cold-audits a persisted directory in one replay of its log — from the
+/// genesis state when the whole log survives, from the floor checkpoint
+/// when segment retention has deleted a covered prefix.
+fn audit_log_dir(dir: &str, omega: &Omega) -> Result<vpdt::store::AuditReport, String> {
+    let (replayed, report) = vpdt::store::cold_audit_dir(dir, omega)
+        .map_err(|e| format!("cold audit of {dir} failed to run: {e}"))?;
     println!(
-        "cold log {dir}: recovered version {} (root hash {:#018x}), {} events{}, \
-         {} commits replayed from the latest checkpoint{}",
-        recovered.version,
-        recovered.root_hash,
-        recovered.events.len(),
-        if recovered.base_version > 0 {
+        "cold log {dir}: replayed to version {} (root hash {:#018x}), {} events{}, \
+         {} commits replayed in one pass from the floor checkpoint{}",
+        replayed.version,
+        replayed.root_hash,
+        replayed.events.len(),
+        if replayed.base_version > 0 {
             format!(
                 " (history before version {} retired by segment retention)",
-                recovered.base_version
+                replayed.base_version
             )
         } else {
             String::new()
         },
-        recovered.commits_replayed,
-        if recovered.torn_bytes > 0 {
-            format!(", {} torn tail bytes discarded", recovered.torn_bytes)
+        replayed.commits_replayed,
+        if replayed.torn_bytes > 0 {
+            format!(", {} torn tail bytes discarded", replayed.torn_bytes)
         } else {
             String::new()
         }
     );
-    Ok(vpdt::store::cold_audit_from(
-        &recovered.alpha,
-        omega,
-        recovered.base_version,
-        &recovered.initial,
-        &recovered.db,
-        &recovered.events,
-        &recovered.templates,
-    ))
+    Ok(report)
 }
 
 /// `vpdtool wal gc DIR`: the standalone retention pass — delete every log
@@ -1097,7 +1088,7 @@ fn run_audit(args: &[String]) -> Result<(), String> {
             Err("sharded cold audit failed".into())
         };
     }
-    let verdict = cold_audit_dir(&dir, &omega)?;
+    let verdict = audit_log_dir(&dir, &omega)?;
     println!("{verdict}");
     if verdict.ok() {
         Ok(())

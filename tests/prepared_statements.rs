@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use vpdt::core::safe::compile_guard;
 use vpdt::eval::{holds, Omega};
 use vpdt::logic::{Elem, Formula, Schema};
-use vpdt::store::{audit, run_jobs, workload, Event, GuardCache, Submitter, VersionedStore};
+use vpdt::store::{audit, run_jobs, workload, Event, GuardCache, Job, VersionedStore};
 use vpdt::structure::Database;
 use vpdt::tx::program::{Program, ProgramTransaction};
 use vpdt::tx::template::canonicalize;
@@ -170,10 +170,16 @@ fn audit_rejects_forged_provenance() {
     let initial = workload::sharded_initial(5, 2, 4, 0.4);
     let store = VersionedStore::new(initial.clone());
     let cache = GuardCache::new(store.schema().clone(), alpha.clone(), omega.clone());
-    let mut submitter = Submitter::new();
-    submitter.submit(Program::insert_consts("R0", [3, 3]));
-    submitter.submit(Program::insert_consts("R1", [2, 0]));
-    let jobs = submitter.into_jobs();
+    let jobs = vec![
+        Job {
+            id: 0,
+            program: Program::insert_consts("R0", [3, 3]),
+        },
+        Job {
+            id: 1,
+            program: Program::insert_consts("R1", [2, 0]),
+        },
+    ];
     let report = run_jobs(&store, &cache, &jobs, 1);
     assert!(report.committed > 0, "{report:?}");
     let programs: BTreeMap<u64, Program> = jobs.iter().map(|j| (j.id, j.program.clone())).collect();
@@ -261,9 +267,10 @@ fn disjoint_merges_swap_pointers_under_the_executor() {
     initial.insert("R1", vec![Elem(2), Elem(3)]);
     let store = VersionedStore::new(initial.clone());
     let cache = GuardCache::new(store.schema().clone(), alpha.clone(), omega.clone());
-    let mut submitter = Submitter::new();
-    submitter.submit(Program::insert_consts("R0", [4, 0]));
-    let jobs = submitter.into_jobs();
+    let jobs = vec![Job {
+        id: 0,
+        program: Program::insert_consts("R0", [4, 0]),
+    }];
     let before = store.snapshot();
     let report = run_jobs(&store, &cache, &jobs, 1);
     assert_eq!(report.committed, 1, "{report:?}");

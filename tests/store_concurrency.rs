@@ -5,9 +5,7 @@
 use std::collections::BTreeMap;
 use vpdt::core::safe::RuntimeChecked;
 use vpdt::eval::{holds, Omega};
-use vpdt::store::{
-    audit, workload, Event, ServerReport, StoreBuilder, StoreError, TxOutcome, TxStatus,
-};
+use vpdt::store::{audit, workload, Event, ServerReport, StoreBuilder, StoreError, TxOutcome};
 use vpdt::tx::program::{Program, ProgramTransaction};
 use vpdt::tx::traits::{Transaction, TxError};
 
@@ -157,7 +155,7 @@ fn inconsistent_initial_state_fails_fast_in_batch_mode() {
     assert_eq!(store.version(), 0, "nothing may commit");
     assert!(matches!(
         &report.outcomes[0].1,
-        TxStatus::Failed {
+        TxOutcome::Failed {
             error: StoreError::GuardUnsound { version: 0 }
         }
     ));

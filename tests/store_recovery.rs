@@ -8,10 +8,11 @@
 
 use std::path::{Path, PathBuf};
 use vpdt::eval::Omega;
+use vpdt::store::history::{root_hash, state_hash};
 use vpdt::store::wal::{self, RecoveryOptions, WalError};
 use vpdt::store::{
-    cold_audit, workload, Event, RecoveryError, Store, StoreBuilder, StoreError, TxOutcome,
-    WalOptions,
+    cold_audit, cold_audit_dir, workload, Event, RecoveryError, Store, StoreBuilder, StoreError,
+    TxOutcome, WalOptions,
 };
 
 const RELS: usize = 3;
@@ -340,6 +341,37 @@ fn midrun_checkpoint_equals_full_replay() {
         from_genesis.commits_replayed
     );
     assert!(from_ckpt.checkpoint_offset >= offset);
+    let (_, audit) = cold_audit_dir(&dir, &Omega::empty()).expect("the cold audit runs");
+    assert!(audit.ok(), "{audit}");
+
+    // A mid-run checkpoint whose state and self-hashes agree with each
+    // other but not with the log: recovery refuses to start from it, and
+    // the one-pass cold audit reports it where its replay crosses it.
+    let forged_dir = copy_dir(&dir, "midckpt-forged");
+    let (_, path) = wal::list_checkpoints(&forged_dir)
+        .expect("lists checkpoints")
+        .pop()
+        .expect("the mid-run checkpoint");
+    let mut forged = wal::read_checkpoint(&path).expect("reads the mid-run checkpoint");
+    let logged_root = forged.root_hash;
+    forged.db = wal::read_genesis(&forged_dir).expect("genesis").db;
+    forged.state_hash = state_hash(&forged.db);
+    forged.root_hash = root_hash(&forged.db);
+    assert_ne!(
+        forged.root_hash, logged_root,
+        "the forged state must differ"
+    );
+    wal::write_checkpoint(&forged_dir, &forged).expect("writes the forged checkpoint");
+    match wal::recover(&forged_dir, &Omega::empty(), RecoveryOptions::default()) {
+        Err(RecoveryError::Divergence { .. }) => {}
+        other => panic!("expected Divergence, got {other:?}"),
+    }
+    let (_, audit) = cold_audit_dir(&forged_dir, &Omega::empty()).expect("the cold audit runs");
+    let crossed = format!("checkpoint at offset {}", forged.offset);
+    assert!(
+        audit.problems.iter().any(|p| p.contains(&crossed)),
+        "the audit must report the forged checkpoint: {audit}"
+    );
 }
 
 /// A recovered server keeps serving: ids, shapes and versions continue

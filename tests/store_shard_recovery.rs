@@ -17,16 +17,18 @@
 //! * every *acknowledged* cross-shard commit survives;
 //!
 //! and after each recovery the sharded cold audit (per-shard replay plus
-//! decision-log cross-checks) passes on the final artifacts.
+//! decision-log cross-checks) passes on the final artifacts. Tampered
+//! layouts — a forged `Cross` hash, a cut decision log, a garbage
+//! watermark — are reported by the audit and refused by recovery.
 
 use std::path::{Path, PathBuf};
 use vpdt::eval::Omega;
 use vpdt::logic::Elem;
 use vpdt::store::shard::{CrossCrashPoint, ROUTED_SESSION};
-use vpdt::store::wal::{DecisionBranch, DecisionRecord, Record, WalWriter};
+use vpdt::store::wal::{self, DecisionBranch, DecisionRecord, Record, WalWriter};
 use vpdt::store::{
-    cold_audit_sharded, workload, CrossOutcome, Event, Routed, ShardedBuilder, ShardedStore,
-    StoreError, WalOptions,
+    cold_audit_sharded, workload, CrossOutcome, Event, RecoveryError, Routed, ShardedBuilder,
+    ShardedStore, StoreError, TxOutcome, WalOptions,
 };
 use vpdt::tx::program::Program;
 
@@ -243,6 +245,59 @@ fn roll_forward_replays_decisions_in_append_order_not_id_order() {
     audit_ok(&dir);
 }
 
+/// Roll-forward goes through the replay step, so a decided branch that
+/// would violate `α` on the recovered shard state is refused with a typed
+/// `Rejected` before anything is appended to the shard's log.
+#[test]
+fn roll_forward_refuses_a_branch_that_violates_the_constraint() {
+    let dir = tmp_dir("roll-forward-alpha");
+    let store = fresh(&dir);
+    let routed = store
+        .submit(ROUTED_SESSION, Program::insert_consts("R0", [1, 2]))
+        .expect("submits");
+    let Routed::Single { ticket, .. } = routed else {
+        panic!("expected a single-shard route, got {routed:?}");
+    };
+    assert!(matches!(ticket.wait(), TxOutcome::Committed { .. }));
+    store.shutdown();
+
+    // A durable decision whose shard-0 branch gives key 1 a second value
+    // under R0's functional dependency.
+    let (mut decisions, _) =
+        WalWriter::resume(dir.join("decisions"), fast_wal()).expect("decision log resumes");
+    decisions
+        .append(&Record::Decision(DecisionRecord {
+            id: 0,
+            tx: 0,
+            branches: vec![DecisionBranch {
+                shard: 0,
+                tx: 1,
+                based_on: 1,
+                program: Program::insert_consts("R0", [1, 3]),
+            }],
+        }))
+        .expect("appends");
+    decisions.sync().expect("syncs");
+    drop(decisions);
+
+    match ShardedBuilder::recover(&dir)
+        .workers_per_shard(1)
+        .wal_options(fast_wal())
+        .build()
+    {
+        Err(StoreError::Recovery(RecoveryError::Rejected { .. })) => {}
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    let scan = wal::scan_log(dir.join("shard-0")).expect("shard 0's log scans");
+    assert!(
+        !scan
+            .records
+            .iter()
+            .any(|r| matches!(r.record, Record::Event(Event::Cross { .. }))),
+        "a refused branch must not reach the shard's log"
+    );
+}
+
 /// After a crash point has fired, the store may hold a durable decision
 /// whose branches never applied; `shutdown()` would stamp the watermark
 /// over it and the decision would never roll forward. It must refuse.
@@ -292,4 +347,156 @@ fn acknowledged_cross_commits_survive_an_unclean_exit() {
     }
     recovered.shutdown();
     audit_ok(&dir);
+}
+
+/// The byte spans (start, end) of every record in a segment file, walked
+/// with the documented framing: `[u32 len][u64 fnv1a][payload]`.
+fn record_spans(path: &Path) -> Vec<(usize, usize)> {
+    let bytes = std::fs::read(path).expect("reads segment");
+    let mut spans = Vec::new();
+    let mut pos = 0;
+    while pos + 12 <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+        spans.push((pos, pos + 12 + len));
+        pos += 12 + len;
+    }
+    assert_eq!(pos, bytes.len(), "trailing bytes in clean segment");
+    spans
+}
+
+fn last_segment(dir: &Path) -> PathBuf {
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("reads dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("wal-") && n.ends_with(".log"))
+        })
+        .collect();
+    segs.sort();
+    segs.pop().expect("at least one segment")
+}
+
+/// Commits `n` cross-shard transactions and returns the last decision id.
+fn commit_crosses(store: &ShardedStore, n: u64) -> u64 {
+    let mut last = None;
+    for i in 0..n {
+        let routed = store
+            .submit(ROUTED_SESSION, cross(i, i, i, i))
+            .expect("cross commit");
+        let Routed::Cross(CrossOutcome::Committed { decision, .. }) = routed else {
+            panic!("expected a cross commit, got {routed:?}");
+        };
+        last = Some(decision);
+    }
+    last.expect("at least one commit")
+}
+
+/// A `Cross` record whose root hash was forged, with its checksum fixed
+/// (a tampered log, not a torn one): the sharded audit reports it as a
+/// problem of that shard and keeps going, while recovery refuses it.
+#[test]
+fn forged_cross_hash_is_reported_by_the_audit_and_refused_by_recovery() {
+    let dir = tmp_dir("forged-cross");
+    let store = fresh(&dir);
+    commit_crosses(&store, 3);
+    drop(store); // no checkpoint: recovery replays every Cross record
+
+    let seg = last_segment(&dir.join("shard-1"));
+    let bytes = std::fs::read(&seg).expect("reads");
+    let (start, end) = record_spans(&seg)
+        .into_iter()
+        .rev()
+        .find(|(s, e)| {
+            matches!(
+                wal::decode_event(&bytes[s + 12..*e]),
+                Ok(Event::Cross { .. })
+            )
+        })
+        .expect("shard 1 logged a Cross record");
+    let mut event = wal::decode_event(&bytes[start + 12..end]).expect("decodes");
+    let Event::Cross { root_hash, .. } = &mut event else {
+        unreachable!("found as a Cross record")
+    };
+    *root_hash ^= 0xffff;
+    let forged_hash = *root_hash;
+    let payload = wal::encode_event(&event);
+    let mut framed = Vec::new();
+    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    framed.extend_from_slice(&vpdt::store::history::fnv1a_64(&payload).to_le_bytes());
+    framed.extend_from_slice(&payload);
+    assert_eq!(framed.len(), end - start, "re-encoding is byte-stable");
+    let mut forged = bytes.clone();
+    forged[start..end].copy_from_slice(&framed);
+    std::fs::write(&seg, &forged).expect("writes");
+
+    let report = cold_audit_sharded(&dir, &Omega::empty())
+        .expect("a forged hash is an audit problem, not an error");
+    assert!(report.shards[0].ok(), "shard 0 is untouched: {report:?}");
+    let recorded = format!("{forged_hash:#x}");
+    assert!(
+        report.shards[1]
+            .problems
+            .iter()
+            .any(|p| p.contains(&recorded)),
+        "shard 1's audit must name the forged hash: {report:?}"
+    );
+    match ShardedBuilder::recover(&dir)
+        .workers_per_shard(1)
+        .wal_options(fast_wal())
+        .build()
+    {
+        Err(StoreError::Recovery(RecoveryError::HashMismatch { .. })) => {}
+        other => panic!("expected HashMismatch, got {other:?}"),
+    }
+}
+
+/// A decision log that lost its last record: the shards still hold that
+/// decision's `Cross` records, and the audit reports them as referencing
+/// a decision the log does not have.
+#[test]
+fn cut_decision_log_is_reported_by_the_audit() {
+    let dir = tmp_dir("cut-decision");
+    let store = fresh(&dir);
+    let last = commit_crosses(&store, 2);
+    drop(store);
+
+    let seg = last_segment(&dir.join("decisions"));
+    let (start, _) = *record_spans(&seg).last().expect("a decision record");
+    let bytes = std::fs::read(&seg).expect("reads");
+    std::fs::write(&seg, &bytes[..start]).expect("cuts the last record");
+
+    let report = cold_audit_sharded(&dir, &Omega::empty()).expect("the audit runs");
+    let missing = format!("references decision {last}, which is not in the decision log");
+    assert!(
+        report.problems.iter().any(|p| p.contains(&missing)),
+        "the audit must report the Cross records of decision {last}: {report:?}"
+    );
+}
+
+/// A watermark that is present but not a number is a typed divergence for
+/// both recovery and the audit — reading it as 0 would roll every
+/// decision whose `Cross` records retention retired forward again.
+#[test]
+fn garbage_watermark_is_a_typed_divergence() {
+    let dir = tmp_dir("bad-watermark");
+    let store = fresh(&dir);
+    commit_crosses(&store, 1);
+    store.shutdown();
+    std::fs::write(dir.join("decisions").join("applied-through"), b"garbage\n")
+        .expect("overwrites the watermark");
+
+    match ShardedBuilder::recover(&dir)
+        .workers_per_shard(1)
+        .wal_options(fast_wal())
+        .build()
+    {
+        Err(StoreError::Recovery(RecoveryError::Divergence { .. })) => {}
+        other => panic!("expected Divergence from recovery, got {other:?}"),
+    }
+    match cold_audit_sharded(&dir, &Omega::empty()) {
+        Err(StoreError::Recovery(RecoveryError::Divergence { .. })) => {}
+        other => panic!("expected Divergence from the audit, got {other:?}"),
+    }
 }
